@@ -18,6 +18,10 @@
 
 namespace congress {
 
+/// A resilient answer is a planned one: the answer, its plan report, the
+/// DegradationReason, and the serving epoch.
+using ResilientAnswer = planner::PlannedAnswer;
+
 /// The full Aqua middleware loop of Figure 1 in the paper: a catalog of
 /// base relations, a precomputed synopsis per relation, and a SQL front
 /// end. A query arrives as text, is parsed and routed by its FROM clause,
@@ -87,34 +91,19 @@ class AquaEngine {
   Result<QueryResult> QueryVia(const std::string& sql,
                                RewriteStrategy strategy) const;
 
-  /// Like Query(), but never gives up just because the primary synopsis
-  /// cannot answer: walks the degradation ladder from the configured
-  /// synopsis through the pre-built fallbacks to an exact scan of the
-  /// snapshot's base relation. The fallback rungs are re-planned per
-  /// query — ordered by the error model's predicted relative error
-  /// rather than a hard-coded BasicCongress → House sequence — and each
-  /// rung's bound widening is derived from the ratio of its predicted
-  /// estimator variance to the primary's (clamped to [1, 8]) instead of
-  /// a fixed haircut. All fallback synopses are built eagerly at
-  /// snapshot publication, so the walk is const and touches no shared
-  /// mutable state; the exact rung reports zero-width bounds.
-  /// The returned DegradationReason says which rung answered and why the
-  /// rungs above it failed; ResilientAnswer::epoch names the snapshot
-  /// generation that served it. `resilience.degraded_answers` counts
-  /// non-primary answers. Fails only when every rung fails, or the SQL
-  /// itself does not parse/bind.
-  ///
-  /// Failpoint sites, one per rung: "aqua/primary_answer",
-  /// "aqua/fallback_basic", "aqua/fallback_house", "aqua/exact_rebuild".
-  Result<ResilientAnswer> QueryResilient(const std::string& sql) const;
-
-  /// Deadline-aware variant for the serving loop: rungs are only
-  /// attempted while `deadline` has not passed, so a query that keeps
-  /// failing downward stops burning time once its budget is gone and
-  /// returns DeadlineExceeded naming the rungs it did try.
+  /// Like Query(), but never gives up just because a synopsis cannot
+  /// answer: Route + Planner::Run, the one candidate walk (Run documents
+  /// the rung order, the bound widening, and the failpoint sites). A
+  /// budget clause is honored and verified as in Query(). The answer's
+  /// DegradationReason says which rung answered and why the ones before
+  /// it failed; `epoch` names the snapshot generation that served it.
+  /// Candidates after the first are attempted only while `deadline` has
+  /// not passed, else DeadlineExceeded names the rungs tried. Fails only
+  /// when every rung fails, or the SQL does not parse/bind.
   Result<ResilientAnswer> QueryResilient(
       const std::string& sql,
-      std::chrono::steady_clock::time_point deadline) const;
+      std::optional<std::chrono::steady_clock::time_point> deadline =
+          std::nullopt) const;
 
   /// The rewritten SQL text the strategy would send to the back-end DBMS
   /// (Figures 8-11), with the synopsis relation named "bs_<table>".
@@ -200,9 +189,6 @@ class AquaEngine {
   /// Builds the next snapshot from `state` and publishes it. Caller
   /// holds writer_mu_.
   Status PublishLocked(const std::string& name, MaintenanceState* state);
-  Result<ResilientAnswer> QueryResilientImpl(
-      const std::string& sql,
-      std::optional<std::chrono::steady_clock::time_point> deadline) const;
 
   /// Serializes structural writers (Register/Drop/Refresh/Restore)
   /// against each other; never held on a read path and never on the

@@ -33,13 +33,18 @@ const char* DegradationLevelToString(DegradationLevel level);
 struct DegradationReason {
   DegradationLevel level = DegradationLevel::kNone;
   /// "rung: Status; rung: Status; ..." for each rung that failed, in
-  /// ladder order. Empty when level == kNone.
+  /// walk order. Empty when nothing failed.
   std::string cause;
   /// Multiplier applied to every std_error and bound in the answer
   /// (1.0 for kNone; exact answers carry zero-width bounds).
   double bound_widening = 1.0;
 
-  bool degraded() const { return level != DegradationLevel::kNone; }
+  /// A failure moved the answer off its planned candidate. Usually the
+  /// level says where to; a budgeted walk can also land on a candidate
+  /// outside the ladder's rungs (level kNone, cause set).
+  bool degraded() const {
+    return level != DegradationLevel::kNone || !cause.empty();
+  }
   std::string ToString() const;
 };
 
@@ -47,16 +52,6 @@ struct DegradationReason {
 /// estimates are the truth and every bound is zero-width. Used by the
 /// ladder's exact rung and the serving front-end's exact mode.
 ApproximateResult ExactAsApproximate(const QueryResult& exact);
-
-/// An approximate answer plus the story of how it was produced.
-struct ResilientAnswer {
-  ApproximateResult result;
-  DegradationReason degradation;
-  /// Catalog epoch of the snapshot that served the answer (0 when the
-  /// engine predates publication, e.g. in unit scaffolding). Lets a
-  /// caller match the answer to one published snapshot generation.
-  uint64_t epoch = 0;
-};
 
 }  // namespace congress
 

@@ -9,9 +9,9 @@
 #include <unordered_set>
 #include <utility>
 
-#include "core/degradation.h"
 #include "engine/executor.h"
 #include "obs/metrics.h"
+#include "resilience/failpoint.h"
 #include "storage/group_index.h"
 
 namespace congress::planner {
@@ -128,6 +128,123 @@ const CandidateScore* FindCandidate(const std::vector<CandidateScore>& cs,
     if (c.kind == kind) return &c;
   }
   return nullptr;
+}
+
+/// The eligible candidate a budget selects. Error budget: the cheapest
+/// predicted to keep the promise, else exact (always sufficient), else
+/// the most accurate prediction. Time budget: the most accurate predicted
+/// to finish in time, else the cheapest. Null when nothing is eligible.
+const CandidateScore* ChooseCandidate(
+    const std::vector<CandidateScore>& candidates, const QueryBudget& budget) {
+  const CandidateScore* best = nullptr;
+  if (budget.has_error_budget()) {
+    for (const CandidateScore& c : candidates) {
+      if (!c.eligible || c.predicted_relative_error > budget.relative_error) {
+        continue;
+      }
+      if (best == nullptr || c.predicted_cost_ms < best->predicted_cost_ms) {
+        best = &c;
+      }
+    }
+    if (best == nullptr) {
+      best = FindCandidate(candidates, PlanKind::kExact);
+      if (best != nullptr && !best->eligible) best = nullptr;
+    }
+    if (best == nullptr) {
+      // No plan can promise the budget and exact is unavailable: serve
+      // the most accurate prediction and let Run() report the gap.
+      for (const CandidateScore& c : candidates) {
+        if (!c.eligible) continue;
+        if (best == nullptr ||
+            c.predicted_relative_error < best->predicted_relative_error) {
+          best = &c;
+        }
+      }
+    }
+    return best;
+  }
+  for (const CandidateScore& c : candidates) {
+    if (!c.eligible || c.predicted_cost_ms > budget.time_budget_ms) continue;
+    if (best == nullptr ||
+        c.predicted_relative_error < best->predicted_relative_error ||
+        (c.predicted_relative_error == best->predicted_relative_error &&
+         c.predicted_cost_ms < best->predicted_cost_ms)) {
+      best = &c;
+    }
+  }
+  if (best == nullptr) {
+    // Nothing fits the deadline; take the cheapest eligible plan.
+    for (const CandidateScore& c : candidates) {
+      if (!c.eligible) continue;
+      if (best == nullptr || c.predicted_cost_ms < best->predicted_cost_ms) {
+        best = &c;
+      }
+    }
+  }
+  return best;
+}
+
+/// How the degradation ladder names a candidate: the rung name failure
+/// causes use, its failpoint site (null off the ladder), and the level a
+/// degraded answer from it reports.
+struct Rung {
+  const char* name;
+  const char* failpoint;
+  DegradationLevel level;
+};
+
+Rung RungOf(PlanKind kind) {
+  switch (kind) {
+    case PlanKind::kPrimarySynopsis:
+      return {"primary", "aqua/primary_answer", DegradationLevel::kNone};
+    case PlanKind::kFallbackBasic:
+      return {"basic_congress", "aqua/fallback_basic",
+              DegradationLevel::kBasicCongress};
+    case PlanKind::kFallbackHouse:
+      return {"house", "aqua/fallback_house", DegradationLevel::kHouse};
+    case PlanKind::kExact:
+      return {"exact", "aqua/exact_rebuild", DegradationLevel::kExactRebuild};
+    default:
+      return {PlanKindToString(kind), nullptr, DegradationLevel::kNone};
+  }
+}
+
+/// Widening a fallback's bounds may grow to after a failure; past this
+/// they say "don't trust this rung", which the caller can read from the
+/// DegradationReason directly.
+constexpr double kMaxDerivedWidening = 8.0;
+
+/// The bound widening a sample fallback answering for a failed primary
+/// gets: sqrt of its predicted mean estimator variance over the
+/// primary's, clamped to [1, kMaxDerivedWidening]; 1 when either side
+/// could not be scored.
+double FallbackWidening(const std::vector<CandidateScore>& candidates,
+                        PlanKind fallback) {
+  const CandidateScore* fb = FindCandidate(candidates, fallback);
+  const CandidateScore* primary =
+      FindCandidate(candidates, PlanKind::kPrimarySynopsis);
+  if (fb == nullptr || primary == nullptr || fb->mean_variance <= 0.0 ||
+      primary->mean_variance <= 0.0) {
+    return 1.0;
+  }
+  return std::clamp(std::sqrt(fb->mean_variance / primary->mean_variance),
+                    1.0, kMaxDerivedWidening);
+}
+
+/// Why a fallback slot is empty: its recorded build failure, if any.
+Status NotBuilt(const Status& build_status, const char* what) {
+  if (!build_status.ok()) return build_status;
+  return Status::FailedPrecondition(std::string(what) + " not built");
+}
+
+ApproximateResult WidenBounds(const ApproximateResult& in, double factor) {
+  ApproximateResult out;
+  for (ApproximateGroupRow row : in.rows()) {
+    for (double& e : row.std_errors) e *= factor;
+    for (double& b : row.bounds) b *= factor;
+    out.Add(std::move(row));
+  }
+  return out;
 }
 
 }  // namespace
@@ -416,6 +533,7 @@ Result<PlanReport> Planner::Plan(const AquaSnapshot& snapshot,
     }
     c.eligible = true;
     c.predicted_relative_error = prediction->max_relative_bound;
+    c.mean_variance = prediction->mean_variance;
     c.predicted_cost_ms = static_cast<double>(synopsis->sample().num_rows()) *
                           options_.ms_per_sample_row;
     c.detail = prediction->exact_model ? "moment model"
@@ -471,7 +589,6 @@ Result<PlanReport> Planner::Plan(const AquaSnapshot& snapshot,
 
   // Combined: the top-k outlier strata by base population go exact, the
   // tail stays sampled.
-  std::vector<uint32_t> outliers;
   {
     CandidateScore c;
     c.kind = PlanKind::kCombined;
@@ -481,7 +598,7 @@ Result<PlanReport> Planner::Plan(const AquaSnapshot& snapshot,
     } else if (strata.size() < 2) {
       c.detail = "fewer than two strata; nothing to split";
     } else {
-      outliers = TopStrataByPopulation(
+      std::vector<uint32_t> outliers = TopStrataByPopulation(
           strata, std::min(options_.max_outlier_strata, strata.size() - 1));
       auto prediction =
           PredictSampleError(primary, query, confidence, outliers);
@@ -498,6 +615,7 @@ Result<PlanReport> Planner::Plan(const AquaSnapshot& snapshot,
             static_cast<double>(outlier_population) * options_.ms_per_base_row;
         c.detail = "top-" + std::to_string(outliers.size()) +
                    " strata exact, sampled tail";
+        c.outlier_strata = std::move(outliers);
       }
     }
     report.candidates.push_back(std::move(c));
@@ -525,70 +643,11 @@ Result<PlanReport> Planner::Plan(const AquaSnapshot& snapshot,
   }
 
   // Choice. No budget: the primary synopsis, bit-identical to Answer().
-  // Error budget: the cheapest plan predicted to keep the promise (exact
-  // as the always-sufficient endpoint). Time budget: the most accurate
-  // plan predicted to finish inside the deadline.
-  auto choose = [&]() -> PlanChoice {
-    PlanChoice choice;
-    if (!budget.active()) {
-      choice.kind = PlanKind::kPrimarySynopsis;
-      return choice;
-    }
-    const CandidateScore* best = nullptr;
-    if (budget.has_error_budget()) {
-      for (const CandidateScore& c : report.candidates) {
-        if (!c.eligible || c.predicted_relative_error > budget.relative_error) {
-          continue;
-        }
-        if (best == nullptr || c.predicted_cost_ms < best->predicted_cost_ms) {
-          best = &c;
-        }
-      }
-      if (best == nullptr) {
-        best = FindCandidate(report.candidates, PlanKind::kExact);
-        if (best != nullptr && !best->eligible) best = nullptr;
-      }
-      if (best == nullptr) {
-        // No plan can promise the budget and exact is unavailable: serve
-        // the most accurate prediction and let Run() report the gap.
-        for (const CandidateScore& c : report.candidates) {
-          if (!c.eligible) continue;
-          if (best == nullptr ||
-              c.predicted_relative_error < best->predicted_relative_error) {
-            best = &c;
-          }
-        }
-      }
-    } else {
-      for (const CandidateScore& c : report.candidates) {
-        if (!c.eligible || c.predicted_cost_ms > budget.time_budget_ms) {
-          continue;
-        }
-        if (best == nullptr ||
-            c.predicted_relative_error < best->predicted_relative_error ||
-            (c.predicted_relative_error == best->predicted_relative_error &&
-             c.predicted_cost_ms < best->predicted_cost_ms)) {
-          best = &c;
-        }
-      }
-      if (best == nullptr) {
-        // Nothing fits the deadline; take the cheapest eligible plan.
-        for (const CandidateScore& c : report.candidates) {
-          if (!c.eligible) continue;
-          if (best == nullptr ||
-              c.predicted_cost_ms < best->predicted_cost_ms) {
-            best = &c;
-          }
-        }
-      }
-    }
-    if (best != nullptr) {
-      choice.kind = best->kind;
-      if (best->kind == PlanKind::kCombined) choice.outlier_strata = outliers;
-    }
-    return choice;
-  };
-  report.chosen = choose();
+  // Otherwise whatever the budget selects (ChooseCandidate).
+  if (budget.active()) {
+    const CandidateScore* best = ChooseCandidate(report.candidates, budget);
+    if (best != nullptr) report.chosen = {best->kind, best->outlier_strata};
+  }
   const CandidateScore* chosen =
       FindCandidate(report.candidates, report.chosen.kind);
   if (chosen != nullptr && chosen->eligible) {
@@ -615,12 +674,12 @@ Result<ApproximateResult> Planner::Execute(const AquaSnapshot& snapshot,
       return sample_answer(*snapshot.synopsis);
     case PlanKind::kFallbackBasic:
       if (snapshot.fallback_basic == nullptr) {
-        return Status::FailedPrecondition("fallback-basic not built");
+        return NotBuilt(snapshot.fallback_basic_status, "fallback-basic");
       }
       return sample_answer(*snapshot.fallback_basic);
     case PlanKind::kFallbackHouse:
       if (snapshot.fallback_house == nullptr) {
-        return Status::FailedPrecondition("fallback-house not built");
+        return NotBuilt(snapshot.fallback_house_status, "fallback-house");
       }
       return sample_answer(*snapshot.fallback_house);
     case PlanKind::kHistogram: {
@@ -645,7 +704,7 @@ Result<ApproximateResult> Planner::Execute(const AquaSnapshot& snapshot,
     case PlanKind::kExact: {
       if (!snapshot.base_available || snapshot.table == nullptr) {
         return Status::FailedPrecondition(
-            "base relation unavailable (restored snapshot)");
+            "base relation unavailable after restore");
       }
       auto exact = ExecuteExact(*snapshot.table, query,
                                 snapshot.synopsis->config().execution);
@@ -659,61 +718,140 @@ Result<ApproximateResult> Planner::Execute(const AquaSnapshot& snapshot,
   return Status::Internal("unknown plan kind");
 }
 
-Result<PlannedAnswer> Planner::Run(const AquaSnapshot& snapshot,
-                                   const GroupByQuery& query) const {
-  const auto t0 = std::chrono::steady_clock::now();
-  auto planned = Plan(snapshot, query);
-  if (!planned.ok()) return planned.status();
+Result<PlannedAnswer> Planner::Run(
+    const AquaSnapshot& snapshot, const GroupByQuery& query,
+    std::optional<std::chrono::steady_clock::time_point> deadline) const {
+  if (snapshot.synopsis == nullptr) {
+    return Status::InvalidArgument("snapshot has no synopsis");
+  }
+  const QueryBudget& budget = query.budget;
   PlannedAnswer answer;
-  answer.report = std::move(planned).value();
-  CONGRESS_METRIC_INCR("planner.plans", 1);
-  CONGRESS_METRIC_RECORD_NANOS(
-      "planner.plan_nanos",
-      static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()));
+  answer.epoch = snapshot.epoch;
+  PlanReport& report = answer.report;
+  // Without a budget the primary synopsis is the plan, and the fleet is
+  // scored only if it fails.
+  report.budget = budget;
+  if (budget.active()) {
+    const auto t0 = std::chrono::steady_clock::now();
+    auto planned = Plan(snapshot, query);
+    if (!planned.ok()) return planned.status();
+    report = std::move(planned).value();
+    CONGRESS_METRIC_INCR("planner.plans", 1);
+    CONGRESS_METRIC_RECORD_NANOS(
+        "planner.plan_nanos",
+        static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count()));
+  }
+  auto switch_to = [&report](const CandidateScore& c) {
+    report.chosen = {c.kind, c.outlier_strata};
+    report.predicted_relative_error = c.predicted_relative_error;
+  };
 
-  // Execute, then verify the promise against the realized bounds and
-  // escalate toward the exact endpoint while it is broken. The ladder is
-  // finite and ends at a plan that satisfies any error budget.
-  while (true) {
-    auto result = Execute(snapshot, query, answer.report.chosen);
-    if (!result.ok()) return result.status();
+  // One walk over the fleet. A candidate that fails drops out and the
+  // next one answers; an answer that breaks an error promise escalates
+  // toward kCombined / kExact. Every step either retires a candidate or
+  // moves strictly up the escalation ladder, so the walk is finite.
+  std::string causes;
+  size_t next_rung = 0;  // Budget-free: fallback rungs tried so far.
+  for (bool first = true;; first = false) {
+    const Rung rung = RungOf(report.chosen.kind);
+    if (!first && deadline.has_value() &&
+        std::chrono::steady_clock::now() >= *deadline) {
+      return Status::DeadlineExceeded("query deadline expired before " +
+                                      std::string(rung.name) + " rung; " +
+                                      causes);
+    }
+    Result<ApproximateResult> result =
+        rung.failpoint != nullptr && CONGRESS_FAILPOINT_HIT(rung.failpoint)
+            ? Result<ApproximateResult>(
+                  resilience::FailpointError(rung.failpoint))
+            : Execute(snapshot, query, report.chosen);
+    if (!result.ok()) {
+      if (!causes.empty()) causes += "; ";
+      causes += std::string(rung.name) + ": " + result.status().ToString();
+      if (report.candidates.empty()) {
+        auto scored = Plan(snapshot, query);
+        if (!scored.ok()) return scored.status();
+        report.candidates = std::move(scored->candidates);
+      }
+      const CandidateScore* next = nullptr;
+      if (budget.active()) {
+        // The budget re-chooses among the candidates still standing.
+        for (CandidateScore& c : report.candidates) {
+          if (c.kind != report.chosen.kind) continue;
+          c.eligible = false;
+          c.detail = "failed: " + result.status().ToString();
+        }
+        next = ChooseCandidate(report.candidates, budget);
+      } else {
+        // Fallbacks by predicted error (a tie keeps BasicCongress first),
+        // then exact. Every rung is attempted, scored or not, so the cause
+        // names each one that could not answer.
+        const bool house_first =
+            FindCandidate(report.candidates, PlanKind::kFallbackHouse)
+                ->predicted_relative_error <
+            FindCandidate(report.candidates, PlanKind::kFallbackBasic)
+                ->predicted_relative_error;
+        const PlanKind ladder[] = {
+            house_first ? PlanKind::kFallbackHouse : PlanKind::kFallbackBasic,
+            house_first ? PlanKind::kFallbackBasic : PlanKind::kFallbackHouse,
+            PlanKind::kExact};
+        if (next_rung < std::size(ladder)) {
+          next = FindCandidate(report.candidates, ladder[next_rung++]);
+        }
+      }
+      if (next == nullptr) {
+        return Status::Internal("all degradation rungs failed: " + causes);
+      }
+      switch_to(*next);
+      continue;
+    }
+
     answer.result = std::move(result).value();
-    if (!query.budget.has_error_budget()) break;
-    const double realized =
-        WorstRelativeBound(answer.result, options_.estimate_floor);
-    answer.report.realized_relative_error = realized;
-    if (realized <= query.budget.relative_error) break;
-
-    PlanChoice next;
-    if (answer.report.chosen.kind != PlanKind::kCombined &&
-        answer.report.chosen.kind != PlanKind::kExact) {
-      const CandidateScore* combined =
-          FindCandidate(answer.report.candidates, PlanKind::kCombined);
-      if (combined != nullptr && combined->eligible) {
-        next.kind = PlanKind::kCombined;
-        const std::vector<Stratum>& strata =
-            snapshot.synopsis->sample().strata();
-        next.outlier_strata = TopStrataByPopulation(
-            strata, std::min(options_.max_outlier_strata, strata.size() - 1));
+    answer.degradation = DegradationReason{};
+    if (!causes.empty()) {
+      answer.degradation.level = rung.level;
+      answer.degradation.cause = causes;
+      if (report.chosen.kind == PlanKind::kFallbackBasic ||
+          report.chosen.kind == PlanKind::kFallbackHouse) {
+        answer.degradation.bound_widening =
+            FallbackWidening(report.candidates, report.chosen.kind);
+        answer.result =
+            WidenBounds(answer.result, answer.degradation.bound_widening);
       }
     }
-    if (next.kind == PlanKind::kPrimarySynopsis &&
-        answer.report.chosen.kind != PlanKind::kExact) {
-      const CandidateScore* exact =
-          FindCandidate(answer.report.candidates, PlanKind::kExact);
-      if (exact != nullptr && exact->eligible) next.kind = PlanKind::kExact;
+    if (!budget.has_error_budget()) break;
+    const double realized =
+        WorstRelativeBound(answer.result, options_.estimate_floor);
+    report.realized_relative_error = realized;
+    if (realized <= budget.relative_error) break;
+
+    const CandidateScore* next = nullptr;
+    if (report.chosen.kind != PlanKind::kCombined &&
+        report.chosen.kind != PlanKind::kExact) {
+      next = FindCandidate(report.candidates, PlanKind::kCombined);
+      if (next != nullptr && !next->eligible) next = nullptr;
     }
-    if (next.kind == PlanKind::kPrimarySynopsis) break;  // Nowhere stronger.
-    answer.report.chosen = next;
-    answer.report.escalations += 1;
+    if (next == nullptr && report.chosen.kind != PlanKind::kExact) {
+      next = FindCandidate(report.candidates, PlanKind::kExact);
+      if (next != nullptr && !next->eligible) next = nullptr;
+    }
+    if (next == nullptr) break;  // Nowhere stronger.
+    switch_to(*next);
+    report.escalations += 1;
     CONGRESS_METRIC_INCR("planner.escalations", 1);
   }
-  if (answer.report.chosen.kind == PlanKind::kCombined) {
+  if (answer.degradation.degraded()) {
+    CONGRESS_METRIC_INCR("resilience.degraded_answers", 1);
+    if (report.chosen.kind == PlanKind::kExact) {
+      CONGRESS_METRIC_INCR("resilience.exact_rebuilds", 1);
+    }
+  }
+  if (report.chosen.kind == PlanKind::kCombined) {
     CONGRESS_METRIC_INCR("planner.combined_plans", 1);
-  } else if (answer.report.chosen.kind == PlanKind::kExact) {
+  } else if (report.chosen.kind == PlanKind::kExact) {
     CONGRESS_METRIC_INCR("planner.exact_plans", 1);
   }
   return answer;

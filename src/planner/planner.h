@@ -1,12 +1,15 @@
 #ifndef CONGRESS_PLANNER_PLANNER_H_
 #define CONGRESS_PLANNER_PLANNER_H_
 
+#include <chrono>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/catalog.h"
+#include "core/degradation.h"
 #include "core/estimator.h"
 #include "engine/query.h"
 #include "planner/error_model.h"
@@ -58,6 +61,12 @@ struct CandidateScore {
   /// confidence; +inf when no prediction applies.
   double predicted_relative_error = std::numeric_limits<double>::infinity();
   double predicted_cost_ms = 0.0;
+  /// Predicted mean estimator variance (sample candidates only; 0 when
+  /// unscored). A fallback's bound widening after a failure is derived
+  /// from its ratio to the primary's.
+  double mean_variance = 0.0;
+  /// kCombined only: the strata answered exactly.
+  std::vector<uint32_t> outlier_strata;
   /// Ineligibility reason, or a one-line model note.
   std::string detail;
 };
@@ -89,10 +98,16 @@ struct PlanReport {
   std::string ToString() const;
 };
 
-/// An answer plus the plan that produced it.
+/// An answer plus the plan that produced it and, when a candidate
+/// failed on the way, the story of how the walk recovered.
 struct PlannedAnswer {
   ApproximateResult result;
   PlanReport report;
+  /// Which rung answered after a failure and why the rungs before it
+  /// failed; level kNone with an empty cause when nothing failed.
+  DegradationReason degradation;
+  /// Catalog epoch of the snapshot that served the answer.
+  uint64_t epoch = 0;
 };
 
 /// Executes a combined plan directly: the listed outlier strata are
@@ -114,7 +129,9 @@ Result<ApproximateResult> ExecuteCombinedPlan(
 /// predicted to meet the promise, then verifies the realized bounds and
 /// escalates toward kCombined / kExact if the promise is broken — the
 /// exact endpoint satisfies any budget, so an error promise is always
-/// eventually honored when the base relation is available.
+/// eventually honored when the base relation is available. The same walk
+/// is the degradation ladder: a candidate that fails drops out and the
+/// next one answers.
 class Planner {
  public:
   explicit Planner(PlannerOptions options = PlannerOptions{});
@@ -123,11 +140,29 @@ class Planner {
   Result<PlanReport> Plan(const AquaSnapshot& snapshot,
                           const GroupByQuery& query) const;
 
-  /// Plans, executes, verifies, and (if needed) escalates. With no active
-  /// budget the primary synopsis answers directly — bit-identical to
-  /// AquaSynopsis::Answer.
-  Result<PlannedAnswer> Run(const AquaSnapshot& snapshot,
-                            const GroupByQuery& query) const;
+  /// The single candidate walk: plans, executes, verifies, and (if
+  /// needed) escalates. Two things move it off a candidate:
+  ///  - failure: a candidate whose execution fails, or whose failpoint
+  ///    fires, drops out and the next one answers. Without a budget the
+  ///    order is primary -> {BasicCongress, House} stably sorted by
+  ///    predicted error -> exact; with one, the next best candidate for
+  ///    the budget. A sample fallback answering after a failure gets its
+  ///    bounds widened by sqrt(var_fallback / var_primary) of predicted
+  ///    estimator variance, clamped to [1, 8].
+  ///  - a broken promise: an error budget whose realized bounds miss
+  ///    escalates kCombined -> kExact.
+  /// With no active budget and a healthy primary this is exactly one
+  /// AquaSynopsis::Answer — no fleet scoring, bit-identical results.
+  /// Every candidate after the first is attempted only while `deadline`
+  /// has not passed; past it the walk returns DeadlineExceeded naming
+  /// the rungs it tried. Fails with Internal when every rung fails.
+  ///
+  /// Failpoint sites: "aqua/primary_answer", "aqua/fallback_basic",
+  /// "aqua/fallback_house", "aqua/exact_rebuild".
+  Result<PlannedAnswer> Run(
+      const AquaSnapshot& snapshot, const GroupByQuery& query,
+      std::optional<std::chrono::steady_clock::time_point> deadline =
+          std::nullopt) const;
 
  private:
   Result<ApproximateResult> Execute(const AquaSnapshot& snapshot,

@@ -9,6 +9,7 @@
 #include <functional>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -175,8 +176,7 @@ class AquaServer {
     std::promise<Response> promise;
     ResponseCallback callback;
     std::chrono::steady_clock::time_point enqueued;
-    std::chrono::steady_clock::time_point deadline;
-    bool has_deadline = false;
+    std::optional<std::chrono::steady_clock::time_point> deadline;
 
     void Resolve(Response response) {
       if (callback) {

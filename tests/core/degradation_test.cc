@@ -1,5 +1,8 @@
 #include "core/degradation.h"
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -17,6 +20,17 @@ using resilience::ScopedFailpoint;
 
 constexpr char kSql[] =
     "SELECT region, SUM(amount) FROM sales GROUP BY region";
+
+/// Worst per-group relative half-width an answer reports.
+double WorstRelativeBound(const ApproximateResult& result) {
+  double worst = 0.0;
+  for (const ApproximateGroupRow& row : result.rows()) {
+    for (size_t a = 0; a < row.estimates.size(); ++a) {
+      worst = std::max(worst, row.bounds[a] / std::fabs(row.estimates[a]));
+    }
+  }
+  return worst;
+}
 
 Table SalesTable() {
   Table t{Schema({Field{"region", DataType::kString},
@@ -101,7 +115,52 @@ TEST_F(DegradationTest, ParseAndBindErrorsBypassTheLadder) {
           .ok());
 }
 
+TEST_F(DegradationTest, ResilientQueryHonorsItsErrorBudget) {
+  // A WITHIN clause binds the resilient path exactly as it binds Query().
+  auto answer = engine_.QueryResilient(std::string(kSql) +
+                                       " WITHIN 1% CONFIDENCE 99");
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer->result.num_groups(), 2u);
+  EXPECT_LE(WorstRelativeBound(answer->result), 0.01);
+}
+
 #ifndef CONGRESS_DISABLE_FAILPOINTS
+TEST_F(DegradationTest, BudgetedQueryAnswersFromNextCandidateOnFailure) {
+  const std::string sql = std::string(kSql) + " WITHIN 50% CONFIDENCE 90";
+  auto healthy = engine_.QueryPlanned(sql);
+  ASSERT_TRUE(healthy.ok()) << healthy.status().ToString();
+  // A loose budget is met by the cheapest sample candidate, the primary.
+  ASSERT_EQ(healthy->report.chosen.kind, planner::PlanKind::kPrimarySynopsis);
+
+  ScopedFailpoint primary("aqua/primary_answer");
+  auto planned = engine_.QueryPlanned(sql);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  EXPECT_NE(planned->report.chosen.kind, planner::PlanKind::kPrimarySynopsis);
+  EXPECT_TRUE(planned->degradation.degraded());
+  EXPECT_EQ(planned->degradation.cause.rfind(
+                "primary: IOError: failpoint 'aqua/primary_answer'", 0),
+            0u)
+      << planned->degradation.cause;
+  // The promise is still verified against the answer actually served.
+  EXPECT_GE(planned->report.realized_relative_error, 0.0);
+  EXPECT_LE(planned->report.realized_relative_error, 0.5);
+  EXPECT_LE(WorstRelativeBound(planned->result), 0.5);
+
+  auto result = engine_.Query(sql);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->num_groups(), 2u);
+}
+
+TEST_F(DegradationTest, ExpiredDeadlineStopsTheWalkAfterTheFirstRung) {
+  ScopedFailpoint primary("aqua/primary_answer");
+  auto answer = engine_.QueryResilient(
+      kSql, std::chrono::steady_clock::now() - std::chrono::seconds(1));
+  ASSERT_FALSE(answer.ok());
+  EXPECT_EQ(answer.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(answer.status().ToString().find("primary"), std::string::npos)
+      << answer.status().ToString();
+}
+
 TEST_F(DegradationTest, FirstRungFallsBackToBasicCongress) {
   ScopedFailpoint primary("aqua/primary_answer");
   auto answer = engine_.QueryResilient(kSql);
