@@ -1,9 +1,10 @@
 #include "core/estimator.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <sstream>
+#include <unordered_map>
+#include <utility>
 
 #include "engine/kernels.h"
 #include "obs/metrics.h"
@@ -37,43 +38,48 @@ const char* GroupProvenanceToString(GroupProvenance provenance) {
 }
 
 void ApproximateResult::Add(ApproximateGroupRow row) {
-  index_.emplace(row.key, rows_.size());
+  sorted_ = sorted_ && (rows_.empty() || rows_.back().key < row.key);
   rows_.push_back(std::move(row));
 }
 
 const ApproximateGroupRow* ApproximateResult::Find(const GroupKey& key) const {
-  auto it = index_.find(key);
-  if (it == index_.end()) return nullptr;
-  return &rows_[it->second];
+  if (sorted_) {
+    auto it = std::lower_bound(
+        rows_.begin(), rows_.end(), key,
+        [](const ApproximateGroupRow& row, const GroupKey& k) {
+          return row.key < k;
+        });
+    return it != rows_.end() && it->key == key ? &*it : nullptr;
+  }
+  for (const ApproximateGroupRow& row : rows_) {
+    if (row.key == key) return &row;
+  }
+  return nullptr;
 }
 
 void ApproximateResult::SortByKey() {
+  if (sorted_) return;
   std::sort(rows_.begin(), rows_.end(),
             [](const ApproximateGroupRow& a, const ApproximateGroupRow& b) {
               return a.key < b.key;
             });
-  index_.clear();
-  for (size_t i = 0; i < rows_.size(); ++i) index_.emplace(rows_[i].key, i);
+  sorted_ = true;
 }
 
 void ApproximateResult::FilterHaving(
     const std::vector<HavingCondition>& having) {
   if (having.empty()) return;
-  std::vector<ApproximateGroupRow> kept;
-  for (ApproximateGroupRow& row : rows_) {
-    bool pass = true;
+  // Keeps the surviving rows in place and in order.
+  auto failed = [&](const ApproximateGroupRow& row) {
     for (const HavingCondition& cond : having) {
       if (cond.aggregate_index >= row.estimates.size() ||
           !cond.Matches(row.estimates[cond.aggregate_index])) {
-        pass = false;
-        break;
+        return true;
       }
     }
-    if (pass) kept.push_back(std::move(row));
-  }
-  rows_ = std::move(kept);
-  index_.clear();
-  for (size_t i = 0; i < rows_.size(); ++i) index_.emplace(rows_[i].key, i);
+    return false;
+  };
+  rows_.erase(std::remove_if(rows_.begin(), rows_.end(), failed), rows_.end());
 }
 
 QueryResult ApproximateResult::ToQueryResult() const {
@@ -102,6 +108,62 @@ std::string ApproximateResult::ToString(size_t max_rows) const {
   return oss.str();
 }
 
+BoundModel::BoundModel(BoundMethod method, double confidence)
+    : method_(method) {
+  double delta = 1.0 - confidence;
+  if (delta <= 0.0) delta = 1e-6;
+  chebyshev_ = 1.0 / std::sqrt(delta);
+  // Hoeffding: P(|est - E| >= t) <= 2 exp(-2 t^2 / sum_i c_i^2) with
+  // c_i the per-draw range of the scaled variable; inverting at the
+  // target confidence gives t = sqrt(ln(2/(1-conf))/2 * sum c_i^2).
+  hoeffding_ln_ = std::log(2.0 / delta) / 2.0;
+}
+
+BoundModel::Estimate BoundModel::Finish(AggregateKind kind,
+                                        const StratumTerms& t) const {
+  Estimate out;
+  double variance = 0.0;
+  bool hoeffding_ok = false;
+  switch (kind) {
+    case AggregateKind::kSum:
+      out.value = t.est_sum;
+      variance = t.var_sum;
+      hoeffding_ok = true;
+      break;
+    case AggregateKind::kCount:
+      out.value = t.est_cnt;
+      variance = t.var_cnt;
+      hoeffding_ok = true;
+      break;
+    case AggregateKind::kAvg:
+      // Delta-method variance of the ratio estimator.
+      if (t.est_cnt > 0.0) {
+        const double r = t.est_sum / t.est_cnt;
+        out.value = r;
+        variance = (t.var_sum - 2.0 * r * t.cov + r * r * t.var_cnt) /
+                   (t.est_cnt * t.est_cnt);
+      }
+      break;
+    default:
+      break;
+  }
+  out.std_error = std::sqrt(std::max(0.0, variance));
+  switch (method_) {
+    case BoundMethod::kStandardError:
+      out.bound = out.std_error;
+      break;
+    case BoundMethod::kChebyshev:
+      out.bound = chebyshev_ * out.std_error;
+      break;
+    case BoundMethod::kHoeffding:
+      // Hoeffding needs a value range; AVG falls back to Chebyshev.
+      out.bound = hoeffding_ok ? std::sqrt(hoeffding_ln_ * t.hoeff_c2)
+                               : chebyshev_ * out.std_error;
+      break;
+  }
+  return out;
+}
+
 namespace {
 
 /// Per (output group, stratum, aggregate-column) running sums over the
@@ -120,50 +182,9 @@ struct GroupAccum {
   uint64_t support = 0;
 };
 
-/// Finite-population variance of the stratified expansion estimator for
-/// one stratum: N(N - n) * S^2 / n, with S^2 the sample variance of the
-/// n stratum draws of z (zeros included for non-matching tuples).
-double StratumVariance(double big_n, double n, uint64_t matches, double sum_v,
-                       double sum_v2) {
-  if (n < 2.0) return 0.0;  // Variance not estimable from one draw.
-  (void)matches;
-  double mean = sum_v / n;
-  // sum over all n draws of (z - mean)^2 = sum_v2 - n*mean^2 (zeros of
-  // the non-matching draws are included via sum_v2 covering only matches
-  // and the n*mean^2 correction).
-  double ss = sum_v2 - n * mean * mean;
-  if (ss < 0.0) ss = 0.0;
-  double s2 = ss / (n - 1.0);
-  double fpc = big_n - n;
-  if (fpc < 0.0) fpc = 0.0;
-  return big_n * fpc * s2 / n;
-}
-
-/// Sample covariance between the SUM variable z_v and the COUNT variable
-/// z_c (= 1 for matches), times the stratified scaling N(N-n)/n.
-double StratumCovariance(double big_n, double n, uint64_t matches,
-                         double sum_v) {
-  if (n < 2.0) return 0.0;
-  double m = static_cast<double>(matches);
-  // sum z_v*z_c = sum_v; means are sum_v/n and m/n.
-  double scov = (sum_v - sum_v * m / n) / (n - 1.0);
-  double fpc = big_n - n;
-  if (fpc < 0.0) fpc = 0.0;
-  return big_n * fpc * scov / n;
-}
-
-double ChebyshevMultiplier(double confidence) {
-  double delta = 1.0 - confidence;
-  if (delta <= 0.0) delta = 1e-6;
-  return 1.0 / std::sqrt(delta);
-}
-
-}  // namespace
-
-Result<ApproximateResult> EstimateGroupBy(const StratifiedSample& sample,
-                                          const GroupByQuery& query,
-                                          const EstimatorOptions& options,
-                                          const ExecutorOptions& execution) {
+/// Checks shared by both estimation paths.
+Status ValidateQuery(const StratifiedSample& sample, const GroupByQuery& query,
+                     const EstimatorOptions& options) {
   const Table& rows = sample.rows();
   if (query.aggregates.empty()) {
     return Status::InvalidArgument("query has no aggregates");
@@ -188,33 +209,59 @@ Result<ApproximateResult> EstimateGroupBy(const StratifiedSample& sample,
       return Status::InvalidArgument("HAVING references a missing aggregate");
     }
   }
+  for (uint32_t s : options.excluded_strata) {
+    if (s >= sample.strata().size()) {
+      return Status::InvalidArgument("excluded stratum out of range");
+    }
+  }
+  return Status::OK();
+}
+
+/// Per-stratum exclusion flags for a combined plan's sampled tail; empty
+/// when nothing is excluded.
+std::vector<char> ExcludedStrata(const StratifiedSample& sample,
+                                 const EstimatorOptions& options) {
+  std::vector<char> excluded;
+  if (options.excluded_strata.empty()) return excluded;
+  excluded.assign(sample.strata().size(), 0);
+  for (uint32_t s : options.excluded_strata) excluded[s] = 1;
+  return excluded;
+}
+
+/// Position of each query grouping column in the sample's grouping, or
+/// false when one is not a grouping column.
+bool KeyPositions(const StratifiedSample& sample, const GroupByQuery& query,
+                  std::vector<size_t>* positions) {
+  const std::vector<size_t>& grouping = sample.grouping_columns();
+  for (size_t col : query.group_columns) {
+    auto it = std::find(grouping.begin(), grouping.end(), col);
+    if (it == grouping.end()) return false;
+    positions->push_back(static_cast<size_t>(it - grouping.begin()));
+  }
+  return true;
+}
+
+}  // namespace
+
+Result<ApproximateResult> EstimateGroupBy(const StratifiedSample& sample,
+                                          const GroupByQuery& query,
+                                          const EstimatorOptions& options,
+                                          const ExecutorOptions& execution) {
+  CONGRESS_RETURN_NOT_OK(ValidateQuery(sample, query, options));
   CONGRESS_METRIC_INCR("estimator.queries", 1);
   CONGRESS_SPAN(estimate_span, execution.scope, "estimate");
 
+  const Table& rows = sample.rows();
   const size_t num_aggs = query.aggregates.size();
   const auto& strata = sample.strata();
   const auto& row_strata = sample.row_strata();
-
   // Planner combined plans exclude outlier strata from the sampled tail.
-  // The lookup stays empty in the common case, leaving the scan below
-  // untouched (and bit-identical to builds without this option).
-  std::vector<char> stratum_excluded;
-  if (!options.excluded_strata.empty()) {
-    stratum_excluded.assign(strata.size(), 0);
-    for (uint32_t s : options.excluded_strata) {
-      if (s >= strata.size()) {
-        return Status::InvalidArgument("excluded stratum out of range");
-      }
-      stratum_excluded[s] = 1;
-    }
-  }
+  const std::vector<char> stratum_excluded = ExcludedStrata(sample, options);
 
   // Intern the output groups once, then accumulate each group's
   // per-stratum cells over its rows in ascending row order, parallel
-  // across disjoint groups. Row order matches a serial scan, so both the
-  // floating-point sums and each group's stratum insertion order — which
-  // fixes the estimate loop's iteration order below — are bit-identical
-  // for every thread count.
+  // across disjoint groups. Row order matches a serial scan, so the
+  // floating-point sums are bit-identical for every thread count.
   auto index = GroupIndex::Build(rows, query.group_columns,
                                  execution.WithScope(estimate_span.scope()));
   if (!index.ok()) return index.status();
@@ -228,7 +275,7 @@ Result<ApproximateResult> EstimateGroupBy(const StratifiedSample& sample,
   // Per batched row: selection + survivor slots, the cached cell
   // pointer, one input slot, and the gathered source cells. Slicing a
   // group's run into cache-sized batches changes neither the selected
-  // set, the cell first-occurrence order, nor the fold order.
+  // set nor the fold order.
   const uint32_t batch_rows =
       kernels::AdaptiveBatchRows(24 + 16 * num_aggs);
   std::vector<kernels::KernelTally> tallies(chunks.size());
@@ -270,11 +317,9 @@ Result<ApproximateResult> EstimateGroupBy(const StratifiedSample& sample,
       }
       if (n_sel == 0) continue;
       acc.support += n_sel;
-      // Pass 1: resolve each selected row's stratum cell block, creating
-      // cells in stratum first-occurrence order — the same insertion
-      // order (and thus the same estimate-loop iteration order) the
-      // per-row scan produced. The map is node-based and the per-stratum
-      // vectors never grow, so the cached pointers stay valid.
+      // Pass 1: resolve each selected row's stratum cell block. The map
+      // is node-based and the per-stratum vectors never grow, so the
+      // cached pointers stay valid.
       row_cells.resize(n_sel);
       for (size_t i = 0; i < n_sel; ++i) {
         const uint32_t r = sel[i];
@@ -287,9 +332,7 @@ Result<ApproximateResult> EstimateGroupBy(const StratifiedSample& sample,
         row_cells[i] = cell_it->second.data();
       }
       // Pass 2: one batched evaluation per aggregate, then a scalar
-      // update fold in row order. Each cell's running sums see the same
-      // values in the same order as before — aggregates were already
-      // independent of one another.
+      // update fold in row order.
       if (inputs.size() < n_sel) inputs.resize(n_sel);
       for (size_t a = 0; a < num_aggs; ++a) {
         const uint64_t t0 = tally_on ? kernels::TallyClockNanos() : 0;
@@ -316,99 +359,41 @@ Result<ApproximateResult> EstimateGroupBy(const StratifiedSample& sample,
     kernels::RecordKernelTally(merged, estimate_span.scope());
   }
 
-  const double cheb = ChebyshevMultiplier(options.confidence);
-  // Hoeffding: P(|est - E| >= t) <= 2 exp(-2 t^2 / sum_i c_i^2) with
-  // c_i the per-draw range of the scaled variable; inverting at the
-  // target confidence gives t = sqrt(ln(2/(1-conf))/2 * sum c_i^2).
-  const double hoeff_ln = std::log(2.0 / (1.0 - options.confidence)) / 2.0;
-
-  // Per-group estimator math, parallel across groups; groups whose rows
-  // all fail the predicate are dropped, exactly as the serial scan never
-  // created them.
+  // Per-group estimator math, parallel across groups: each group's cell
+  // terms fold in ascending stratum order, the order EstimateRollup
+  // folds the same strata in. Groups whose rows all fail the predicate
+  // are dropped.
+  const BoundModel model(options.bound_method, options.confidence);
   std::vector<ApproximateGroupRow> out_rows(num_groups);
   ParallelFor(threads, chunks.size(), [&](size_t c) {
+    std::vector<std::pair<uint32_t, const CellStats*>> cells;
     for (size_t g = chunks[c].first; g < chunks[c].second; ++g) {
-    GroupAccum& acc = accums[g];
-    if (acc.support == 0) continue;
-    ApproximateGroupRow out;
-    out.key = index->keys()[g];
-    out.support = acc.support;
-    out.estimates.resize(num_aggs, 0.0);
-    out.std_errors.resize(num_aggs, 0.0);
-    out.bounds.resize(num_aggs, 0.0);
-
-    for (size_t a = 0; a < num_aggs; ++a) {
-      const AggregateSpec& spec = query.aggregates[a];
-      double est_sum = 0.0;    // Scaled SUM of the aggregate variable.
-      double est_cnt = 0.0;    // Scaled COUNT.
-      double var_sum = 0.0;
-      double var_cnt = 0.0;
-      double cov = 0.0;
-      double hoeff_c2 = 0.0;   // sum of per-draw squared ranges.
-      for (const auto& [stratum_id, cells] : acc.cells) {
-        const Stratum& s = strata[stratum_id];
-        const CellStats& cs = cells[a];
-        const double sf = s.ScaleFactor();
-        const double n = static_cast<double>(s.sample_count);
-        const double big_n = static_cast<double>(s.population);
-        est_sum += sf * cs.sum_v;
-        est_cnt += sf * static_cast<double>(cs.matches);
-        var_sum += StratumVariance(big_n, n, cs.matches, cs.sum_v, cs.sum_v2);
-        var_cnt += StratumVariance(big_n, n, cs.matches,
-                                   static_cast<double>(cs.matches),
-                                   static_cast<double>(cs.matches));
-        cov += StratumCovariance(big_n, n, cs.matches, cs.sum_v);
-        hoeff_c2 += n * (sf * cs.max_abs) * (sf * cs.max_abs);
+      const GroupAccum& acc = accums[g];
+      if (acc.support == 0) continue;
+      cells.clear();
+      for (const auto& [s, stats] : acc.cells) {
+        cells.emplace_back(s, stats.data());
       }
-
-      double est = 0.0;
-      double variance = 0.0;
-      bool hoeffding_ok = false;
-      switch (spec.kind) {
-        case AggregateKind::kSum:
-          est = est_sum;
-          variance = var_sum;
-          hoeffding_ok = true;
-          break;
-        case AggregateKind::kCount:
-          est = est_cnt;
-          variance = var_cnt;
-          hoeffding_ok = true;
-          break;
-        case AggregateKind::kAvg: {
-          est = est_cnt > 0.0 ? est_sum / est_cnt : 0.0;
-          // Delta-method variance of the ratio estimator.
-          if (est_cnt > 0.0) {
-            double r = est;
-            variance = (var_sum - 2.0 * r * cov + r * r * var_cnt) /
-                       (est_cnt * est_cnt);
-            if (variance < 0.0) variance = 0.0;
-          }
-          break;
+      std::sort(cells.begin(), cells.end());
+      ApproximateGroupRow& out = out_rows[g];
+      out.key = index->keys()[g];
+      out.support = acc.support;
+      out.estimates.resize(num_aggs);
+      out.std_errors.resize(num_aggs);
+      out.bounds.resize(num_aggs);
+      for (size_t a = 0; a < num_aggs; ++a) {
+        StratumTerms terms;
+        for (const auto& [s, stats] : cells) {
+          const CellStats& cs = stats[a];
+          terms.Add(ComputeStratumTerms(strata[s], cs.matches, cs.sum_v,
+                                        cs.sum_v2, cs.max_abs));
         }
-        default:
-          break;
+        const BoundModel::Estimate e =
+            model.Finish(query.aggregates[a].kind, terms);
+        out.estimates[a] = e.value;
+        out.std_errors[a] = e.std_error;
+        out.bounds[a] = e.bound;
       }
-      double std_err = std::sqrt(std::max(0.0, variance));
-      out.estimates[a] = est;
-      out.std_errors[a] = std_err;
-      switch (options.bound_method) {
-        case BoundMethod::kStandardError:
-          out.bounds[a] = std_err;
-          break;
-        case BoundMethod::kChebyshev:
-          out.bounds[a] = cheb * std_err;
-          break;
-        case BoundMethod::kHoeffding:
-          if (hoeffding_ok) {
-            out.bounds[a] = std::sqrt(hoeff_ln * hoeff_c2);
-          } else {
-            out.bounds[a] = cheb * std_err;  // AVG fallback.
-          }
-          break;
-      }
-    }
-    out_rows[g] = std::move(out);
     }
   });
 
@@ -419,6 +404,115 @@ Result<ApproximateResult> EstimateGroupBy(const StratifiedSample& sample,
   }
   result.FilterHaving(query.having);
   result.SortByKey();
+  return result;
+}
+
+bool IsStratumRollup(const StratifiedSample& sample,
+                     const GroupByQuery& query) {
+  std::vector<size_t> positions;
+  if (!KeyPositions(sample, query, &positions)) return false;
+  const Schema& schema = sample.base_schema();
+  for (const AggregateSpec& spec : query.aggregates) {
+    if (spec.kind == AggregateKind::kCount) continue;
+    if (spec.kind != AggregateKind::kSum && spec.kind != AggregateKind::kAvg) {
+      return false;
+    }
+    if (spec.expression != nullptr || spec.column >= schema.num_fields() ||
+        schema.field(spec.column).type == DataType::kString) {
+      return false;
+    }
+  }
+  if (query.predicate == nullptr) return true;
+  std::vector<size_t> read;
+  if (!query.predicate->CollectColumns(&read)) return false;
+  const std::vector<size_t>& grouping = sample.grouping_columns();
+  for (size_t col : read) {
+    if (std::find(grouping.begin(), grouping.end(), col) == grouping.end()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+Result<ApproximateResult> EstimateRollup(const StratifiedSample& sample,
+                                         const SampleMoments& moments,
+                                         const GroupByQuery& query,
+                                         const EstimatorOptions& options,
+                                         const ExecutorOptions& execution) {
+  CONGRESS_RETURN_NOT_OK(ValidateQuery(sample, query, options));
+  if (!IsStratumRollup(sample, query)) {
+    return Status::InvalidArgument("query is not a stratum roll-up");
+  }
+  if (moments.num_strata() != sample.strata().size()) {
+    return Status::InvalidArgument("moments do not describe the sample");
+  }
+  CONGRESS_METRIC_INCR("estimator.queries", 1);
+  CONGRESS_METRIC_INCR("estimator.rollup_queries", 1);
+  CONGRESS_SPAN(estimate_span, execution.scope, "estimate_rollup");
+
+  std::vector<size_t> positions;
+  KeyPositions(sample, query, &positions);
+  const StratumRollup& rollup = moments.Rollup(sample, positions);
+  const size_t num_aggs = query.aggregates.size();
+  const size_t num_groups = rollup.num_groups();
+  std::vector<size_t> slots(num_aggs);
+  for (size_t a = 0; a < num_aggs; ++a) {
+    const AggregateSpec& spec = query.aggregates[a];
+    slots[a] = spec.kind == AggregateKind::kCount
+                   ? SampleMoments::kCountSlot
+                   : moments.SlotOf(spec.column);
+  }
+
+  // terms_of(a, g): group g's terms for aggregate a. With every stratum
+  // counting they are the roll-up's pre-folded sums; otherwise fold the
+  // strata that pass, in ascending order — the row scan's order.
+  std::vector<StratumTerms> folded;
+  auto terms_of = [&](size_t a, size_t g) -> const StratumTerms& {
+    if (!folded.empty()) return folded[a * num_groups + g];
+    return slots[a] == SampleMoments::kCountSlot
+               ? rollup.count_terms[g]
+               : rollup.column_terms[slots[a] * num_groups + g];
+  };
+  if (query.predicate != nullptr || !options.excluded_strata.empty()) {
+    const std::vector<char> excluded = ExcludedStrata(sample, options);
+    const std::vector<Stratum>& strata = sample.strata();
+    folded.assign(num_aggs * num_groups, StratumTerms{});
+    for (size_t s = 0; s < strata.size(); ++s) {
+      if (moments.rows(s) == 0) continue;
+      if (!excluded.empty() && excluded[s] != 0) continue;
+      // Constant within the stratum: it reads grouping columns only.
+      if (query.predicate != nullptr &&
+          !query.predicate->Matches(sample.rows(), moments.first_row(s))) {
+        continue;
+      }
+      const uint32_t g = rollup.group_of[s];
+      for (size_t a = 0; a < num_aggs; ++a) {
+        folded[a * num_groups + g].Add(moments.TermsOf(strata[s], s, slots[a]));
+      }
+    }
+  }
+
+  const BoundModel model(options.bound_method, options.confidence);
+  ApproximateResult result;
+  for (size_t g = 0; g < num_groups; ++g) {
+    const uint64_t support = terms_of(0, g).support;
+    if (support == 0) continue;
+    ApproximateGroupRow out;
+    out.key = rollup.keys[g];
+    out.support = support;
+    out.estimates.resize(num_aggs);
+    out.std_errors.resize(num_aggs);
+    out.bounds.resize(num_aggs);
+    for (size_t a = 0; a < num_aggs; ++a) {
+      const BoundModel::Estimate e =
+          model.Finish(query.aggregates[a].kind, terms_of(a, g));
+      out.estimates[a] = e.value;
+      out.std_errors[a] = e.std_error;
+      out.bounds[a] = e.bound;
+    }
+    result.Add(std::move(out));
+  }
+  result.FilterHaving(query.having);
   return result;
 }
 

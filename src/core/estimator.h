@@ -2,10 +2,10 @@
 #define CONGRESS_CORE_ESTIMATOR_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/query.h"
+#include "sampling/moments.h"
 #include "sampling/stratified_sample.h"
 #include "util/parallel.h"
 #include "util/status.h"
@@ -68,6 +68,8 @@ class ApproximateResult {
   void Add(ApproximateGroupRow row);
   size_t num_groups() const { return rows_.size(); }
   const std::vector<ApproximateGroupRow>& rows() const { return rows_; }
+  /// The group with `key`, or null: a binary search once the rows are in
+  /// key order, a linear scan before.
   const ApproximateGroupRow* Find(const GroupKey& key) const;
   void SortByKey();
 
@@ -83,7 +85,31 @@ class ApproximateResult {
 
  private:
   std::vector<ApproximateGroupRow> rows_;
-  std::unordered_map<GroupKey, size_t, GroupKeyHash> index_;
+  bool sorted_ = true;  ///< rows_ are in ascending key order.
+};
+
+/// Finishes one aggregate of one output group from the group's stratum
+/// terms, folded in ascending stratum order: SUM and COUNT read their
+/// expansion sums, AVG is their ratio with a delta-method variance, and
+/// the half-width follows the bound method at the confidence. The
+/// estimator and the planner's error model (planner/error_model.h) both
+/// finish through it, so a prediction made from the same terms is the
+/// realized bound.
+class BoundModel {
+ public:
+  BoundModel(BoundMethod method, double confidence);
+
+  struct Estimate {
+    double value = 0.0;
+    double std_error = 0.0;
+    double bound = 0.0;
+  };
+  Estimate Finish(AggregateKind kind, const StratumTerms& terms) const;
+
+ private:
+  BoundMethod method_;
+  double chebyshev_;     ///< 1/sqrt(1 - confidence).
+  double hoeffding_ln_;  ///< ln(2/(1 - confidence))/2.
 };
 
 /// Computes an unbiased approximate answer to `query` from a stratified
@@ -96,12 +122,34 @@ class ApproximateResult {
 /// Groups with no sampled tuples do not appear in the answer (the
 /// uniform-sample failure mode the paper's Figure 4 illustrates).
 ///
-/// The sample scan interns the output groups once and accumulates each
-/// group's per-stratum cells over its rows in ascending row order,
-/// morsel-parallel per `execution`; estimates are bit-identical to the
-/// serial path for every thread count.
+/// This is the sample scan: it interns the output groups, accumulates
+/// each group's per-stratum cells over its rows in ascending row order,
+/// morsel-parallel per `execution`, and folds the cells' terms
+/// (ComputeStratumTerms) in ascending stratum order; estimates are
+/// bit-identical to the serial path for every thread count.
 Result<ApproximateResult> EstimateGroupBy(
     const StratifiedSample& sample, const GroupByQuery& query,
+    const EstimatorOptions& options = EstimatorOptions{},
+    const ExecutorOptions& execution = {});
+
+/// Whether `query` is a stratum roll-up of `sample`: it groups by a
+/// subset of the sample's grouping columns, every aggregate is COUNT or
+/// a SUM/AVG over a plain numeric column, and its predicate (if any)
+/// reads only grouping columns (Predicate::CollectColumns). Strata are
+/// the finest groups and such a predicate is constant within a stratum,
+/// so every output group is a union of whole strata.
+bool IsStratumRollup(const StratifiedSample& sample,
+                     const GroupByQuery& query);
+
+/// Answers a stratum roll-up from `moments` (computed from `sample`)
+/// without reading sample rows beyond one per stratum for the predicate:
+/// O(#strata x #aggregates), or O(#groups x #aggregates) with no
+/// predicate and no excluded strata. Bit-identical to EstimateGroupBy on
+/// the same query, which feeds the same term function the same sums in
+/// the same order. InvalidArgument when `query` is not a roll-up.
+Result<ApproximateResult> EstimateRollup(
+    const StratifiedSample& sample, const SampleMoments& moments,
+    const GroupByQuery& query,
     const EstimatorOptions& options = EstimatorOptions{},
     const ExecutorOptions& execution = {});
 

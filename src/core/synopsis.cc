@@ -156,8 +156,7 @@ SynopsisHealth AquaSynopsis::Health() const {
 Result<ApproximateResult> AquaSynopsis::Answer(
     const GroupByQuery& query) const {
   CONGRESS_FAILPOINT("synopsis/answer");
-  auto result =
-      EstimateGroupBy(sample_, query, config_.estimator, config_.execution);
+  auto result = Estimate(query, config_.estimator);
 #ifndef CONGRESS_DISABLE_OBS
   if (result.ok()) {
     // Mean relative half-width of the error bounds across groups — the
@@ -179,6 +178,15 @@ Result<ApproximateResult> AquaSynopsis::Answer(
   }
 #endif
   return result;
+}
+
+Result<ApproximateResult> AquaSynopsis::Estimate(
+    const GroupByQuery& query, const EstimatorOptions& options) const {
+  if (IsStratumRollup(sample_, query)) {
+    return EstimateRollup(sample_, moments_, query, options,
+                          config_.execution);
+  }
+  return EstimateGroupBy(sample_, query, options, config_.execution);
 }
 
 Result<QueryResult> AquaSynopsis::AnswerVia(const GroupByQuery& query,

@@ -130,8 +130,16 @@ class AquaSynopsis {
                                          uint64_t tuples_seen);
 
   /// Approximate answer with per-group error bounds, computed from the
-  /// stratified estimators (Section 5.1).
+  /// stratified estimators (Section 5.1) under config().estimator.
   Result<ApproximateResult> Answer(const GroupByQuery& query) const;
+
+  /// The estimator under explicit `options` (the planner's promised
+  /// confidence, a combined plan's excluded strata). A stratum roll-up
+  /// (IsStratumRollup) is answered from moments() without a sample scan;
+  /// any other query scans the sample (EstimateGroupBy). Both paths give
+  /// bit-identical answers.
+  Result<ApproximateResult> Estimate(const GroupByQuery& query,
+                                     const EstimatorOptions& options) const;
 
   /// Approximate answer via a specific physical rewrite strategy
   /// (Section 5.2); point estimates only.
@@ -149,8 +157,9 @@ class AquaSynopsis {
   const StratifiedSample& sample() const { return sample_; }
   const Rewriter& rewriter() const { return *rewriter_; }
   const SynopsisConfig& config() const { return config_; }
-  /// Per-stratum column moments, computed once per (re)build so the
-  /// planner can score this synopsis in O(#strata).
+  /// Per-stratum column moments, computed once per (re)build: roll-ups
+  /// are answered from them, and the planner scores this synopsis with
+  /// them, in O(#strata).
   const SampleMoments& moments() const { return moments_; }
   /// Column indices of the grouping columns in the base schema.
   const std::vector<size_t>& grouping_column_indices() const {

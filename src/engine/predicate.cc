@@ -89,6 +89,8 @@ class TruePredicate final : public Predicate {
   }
 
   std::string ToString(const Schema*) const override { return "TRUE"; }
+
+  bool CollectColumns(std::vector<size_t>*) const override { return true; }
 };
 
 class RangePredicate final : public Predicate {
@@ -114,6 +116,11 @@ class RangePredicate final : public Predicate {
     std::ostringstream oss;
     oss << ColName(schema, col_) << " BETWEEN " << lo_ << " AND " << hi_;
     return oss.str();
+  }
+
+  bool CollectColumns(std::vector<size_t>* columns) const override {
+    columns->push_back(col_);
+    return true;
   }
 
  private:
@@ -156,6 +163,11 @@ class EqualsPredicate final : public Predicate {
 
   std::string ToString(const Schema* schema) const override {
     return ColName(schema, col_) + " = " + value_.ToString();
+  }
+
+  bool CollectColumns(std::vector<size_t>* columns) const override {
+    columns->push_back(col_);
+    return true;
   }
 
  private:
@@ -215,6 +227,13 @@ class AndPredicate final : public Predicate {
     return out;
   }
 
+  bool CollectColumns(std::vector<size_t>* columns) const override {
+    for (const auto& child : children_) {
+      if (!child->CollectColumns(columns)) return false;
+    }
+    return true;
+  }
+
  private:
   std::vector<PredicatePtr> children_;
 };
@@ -240,6 +259,11 @@ class LessEqualPredicate final : public Predicate {
     std::ostringstream oss;
     oss << ColName(schema, col_) << " <= " << bound_;
     return oss.str();
+  }
+
+  bool CollectColumns(std::vector<size_t>* columns) const override {
+    columns->push_back(col_);
+    return true;
   }
 
  private:
@@ -323,6 +347,11 @@ class ComparisonPredicate final : public Predicate {
            value_.ToString();
   }
 
+  bool CollectColumns(std::vector<size_t>* columns) const override {
+    columns->push_back(col_);
+    return true;
+  }
+
  private:
   size_t col_;
   CompareOp op_;
@@ -338,6 +367,8 @@ void Predicate::MatchBatch(const Table& table, uint32_t begin, uint32_t end,
       begin, end, sel_in, sel_out,
       [&](uint32_t row) { return Matches(table, row); });
 }
+
+bool Predicate::CollectColumns(std::vector<size_t>*) const { return false; }
 
 const char* CompareOpToString(CompareOp op) {
   switch (op) {

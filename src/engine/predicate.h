@@ -36,6 +36,14 @@ class Predicate {
   /// SQL-ish rendering for logging and debugging. When `schema` is
   /// non-null, columns render by name; otherwise as "colN".
   virtual std::string ToString(const Schema* schema = nullptr) const = 0;
+
+  /// Appends every column the predicate reads to `columns` and returns
+  /// true, or returns false when the columns are unknown. The default is
+  /// unknown, so a custom subclass is assumed to read anything; the
+  /// built-ins report their columns and AND reports the union of its
+  /// children's. The estimator answers a query whose predicate reads only
+  /// grouping columns from per-stratum moments (core/estimator.h).
+  virtual bool CollectColumns(std::vector<size_t>* columns) const;
 };
 
 using PredicatePtr = std::shared_ptr<const Predicate>;

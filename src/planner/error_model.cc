@@ -12,14 +12,7 @@ namespace {
 /// zero with a non-zero bound reads as "relative error unbounded".
 constexpr double kEstimateFloor = 1e-9;
 
-constexpr ColumnMoments kNoMoments{};
-constexpr ExpansionTerms kZeroTerms{};
-
-double ChebyshevMultiplier(double confidence) {
-  double delta = 1.0 - confidence;
-  if (delta <= 0.0) delta = 1e-6;
-  return 1.0 / std::sqrt(delta);
-}
+constexpr StratumTerms kZeroTerms{};
 
 }  // namespace
 
@@ -76,12 +69,12 @@ Result<ErrorPrediction> PredictSampleError(
     key_positions.clear();
   }
 
-  // Every per-(group, column) sum the model needs is pre-aggregated and
-  // memoized per roll-up inside the moments, so scoring is
-  // O(#groups x #aggregates) — only the few excluded strata of a
-  // combined plan are revisited individually below.
-  const GroupedExpansionTerms& grouped =
-      moments.GroupedFor(sample, key_positions);
+  // Every per-(group, column) sum the model needs is pre-folded and
+  // memoized per roll-up inside the moments — the same sums the
+  // estimator answers a predicate-free roll-up from — so scoring is
+  // O(#groups x #aggregates); only the few excluded strata of a combined
+  // plan are revisited individually below.
+  const StratumRollup& rollup = moments.Rollup(sample, key_positions);
 
   // Proxy moments column for expression aggregates: the most dispersed
   // non-grouping numeric column (largest total sum of squares). There are
@@ -109,16 +102,14 @@ Result<ErrorPrediction> PredictSampleError(
     }
   }
 
-  const BoundMethod bound_method = synopsis.config().estimator.bound_method;
-  const double cheb = ChebyshevMultiplier(confidence);
-  const double hoeff_ln = std::log(2.0 / (1.0 - confidence)) / 2.0;
-  const size_t g_count = grouped.num_groups;
+  const BoundModel model(synopsis.config().estimator.bound_method,
+                         confidence);
+  const size_t g_count = rollup.num_groups();
 
   double sum_relative = 0.0;
   double sum_variance = 0.0;
   size_t cells = 0;
-  std::vector<double> excl_var;
-  std::vector<double> excl_c2;
+  std::vector<StratumTerms> excluded;
   for (const AggregateSpec& spec : query.aggregates) {
     size_t column = spec.column;
     if (spec.expression != nullptr) {
@@ -126,83 +117,44 @@ Result<ErrorPrediction> PredictSampleError(
       column = proxy_column;
       prediction.exact_model = false;
     }
+    // COUNT(*) reads the count terms; a column without moments (a
+    // string, which no valid aggregate reads) predicts nothing.
     const bool count_agg = spec.kind == AggregateKind::kCount;
-    const size_t slot = count_agg ? SIZE_MAX : moments.SlotOf(column);
+    const size_t slot =
+        count_agg ? SampleMoments::kCountSlot : moments.SlotOf(column);
+    const bool covered = count_agg || slot != SIZE_MAX;
+    auto grouped = [&](size_t g) -> const StratumTerms& {
+      if (!covered) return kZeroTerms;
+      return count_agg ? rollup.count_terms[g]
+                       : rollup.column_terms[slot * g_count + g];
+    };
 
     // Strata a combined plan answers exactly keep their estimate but
-    // contribute zero variance: subtract their terms from the grouped
-    // sums.
+    // contribute zero variance: subtract their variance terms from the
+    // grouped sums.
     if (!excluded_strata.empty()) {
-      excl_var.assign(g_count, 0.0);
-      excl_c2.assign(g_count, 0.0);
+      excluded.assign(g_count, StratumTerms{});
       for (uint32_t s : excluded_strata) {
-        const ExpansionTerms t = StratumExpansionTerms(
-            strata[s], count_agg ? kNoMoments : moments.Of(s, column),
-            count_agg);
-        excl_var[grouped.group_of[s]] += t.var;
-        excl_c2[grouped.group_of[s]] += t.hoeff_c2;
+        if (!covered || moments.rows(s) == 0) continue;
+        excluded[rollup.group_of[s]].Add(moments.TermsOf(strata[s], s, slot));
       }
     }
 
     for (size_t g = 0; g < g_count; ++g) {
-      const ExpansionTerms& t =
-          count_agg ? grouped.count_terms[g]
-                    : (slot != SIZE_MAX
-                           ? grouped.column_terms[slot * g_count + g]
-                           : kZeroTerms);
-      double var_sum = t.var;
-      double hoeff_c2 = t.hoeff_c2;
+      StratumTerms t = grouped(g);
       if (!excluded_strata.empty()) {
-        var_sum -= excl_var[g];
-        hoeff_c2 -= excl_c2[g];
-        if (var_sum < 0.0) var_sum = 0.0;
-        if (hoeff_c2 < 0.0) hoeff_c2 = 0.0;
+        t.var_sum = std::max(0.0, t.var_sum - excluded[g].var_sum);
+        t.var_cnt = std::max(0.0, t.var_cnt - excluded[g].var_cnt);
+        t.cov -= excluded[g].cov;
+        t.hoeff_c2 = std::max(0.0, t.hoeff_c2 - excluded[g].hoeff_c2);
       }
-
-      double est = 0.0;
-      double variance = 0.0;
-      bool hoeffding_ok = false;
-      switch (spec.kind) {
-        case AggregateKind::kSum:
-        case AggregateKind::kCount:
-          est = t.est;
-          variance = var_sum;
-          hoeffding_ok = true;
-          break;
-        case AggregateKind::kAvg:
-          // No-predicate model: COUNT variance and the SUM/COUNT
-          // covariance both vanish, leaving the delta-method ratio
-          // variance var_sum / cnt^2.
-          if (grouped.population[g] > 0.0) {
-            est = t.est / grouped.population[g];
-            variance =
-                var_sum / (grouped.population[g] * grouped.population[g]);
-          }
-          break;
-        default:
-          break;
-      }
-      if (variance < 0.0) variance = 0.0;
-      const double std_err = std::sqrt(variance);
-      double bound = 0.0;
-      switch (bound_method) {
-        case BoundMethod::kStandardError:
-          bound = std_err;
-          break;
-        case BoundMethod::kChebyshev:
-          bound = cheb * std_err;
-          break;
-        case BoundMethod::kHoeffding:
-          bound = hoeffding_ok ? std::sqrt(hoeff_ln * hoeff_c2)
-                               : cheb * std_err;
-          break;
-      }
+      const BoundModel::Estimate e = model.Finish(spec.kind, t);
       const double relative =
-          bound / std::max(std::fabs(est), kEstimateFloor);
+          e.bound / std::max(std::fabs(e.value), kEstimateFloor);
       prediction.max_relative_bound =
           std::max(prediction.max_relative_bound, relative);
       sum_relative += relative;
-      sum_variance += variance;
+      sum_variance += e.std_error * e.std_error;
       ++cells;
     }
   }

@@ -422,7 +422,7 @@ Result<ApproximateResult> ExecuteCombinedPlan(
   EstimatorOptions tail_options = synopsis.config().estimator;
   if (confidence > 0.0) tail_options.confidence = confidence;
   tail_options.excluded_strata = outlier_strata;
-  auto tail = EstimateGroupBy(sample, plan.inner, tail_options, execution);
+  auto tail = synopsis.Estimate(plan.inner, tail_options);
   if (!tail.ok()) return tail.status();
 
   // Stitch per output group. Only the tail carries uncertainty, so the
@@ -666,8 +666,7 @@ Result<ApproximateResult> Planner::Execute(const AquaSnapshot& snapshot,
     if (confidence <= 0.0) return synopsis.Answer(query);
     EstimatorOptions opts = synopsis.config().estimator;
     opts.confidence = confidence;
-    return EstimateGroupBy(synopsis.sample(), query, opts,
-                           synopsis.config().execution);
+    return synopsis.Estimate(query, opts);
   };
   switch (choice.kind) {
     case PlanKind::kPrimarySynopsis:

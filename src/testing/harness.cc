@@ -93,6 +93,23 @@ std::vector<PropConfig> BuildDefaultConfigs() {
   }
   {
     PropConfig c;
+    c.name = "rollup";
+    c.description =
+        "stratum roll-ups: every WHERE clause on grouping columns, so the "
+        "moments path must match the sample scan bitwise";
+    c.spec.num_rows = 5000;
+    c.spec.num_grouping_columns = 3;
+    c.spec.values_per_column = 3;
+    c.spec.group_skew_z = 1.2;
+    c.spec.null_fraction = 0.1;
+    c.spec.singleton_groups = 4;
+    c.querygen.grouping_predicates_only = true;
+    c.querygen.having_probability = 0.3;
+    c.queries_per_seed = 8;
+    configs.push_back(c);
+  }
+  {
+    PropConfig c;
     c.name = "crash_recovery";
     c.description =
         "checkpoint / crash / recover round trips + corruption salvage, all "
@@ -345,6 +362,9 @@ Status RunOracles(const PropConfig& config, uint64_t seed,
 
     st = CheckVectorizedIdentity(table, samples[s], gen.query);
     if (!st.ok()) return fail("vectorized-identity", context, st);
+
+    st = CheckRollupIdentity(samples[s], gen.query);
+    if (!st.ok()) return fail("rollup-identity", context, st);
 
     st = CheckFullSampleMatchesExact(table, data->grouping_columns,
                                      kStrategies[s], gen.query, seed + q);

@@ -65,8 +65,10 @@ struct PropConfig {
 };
 
 /// The built-in regimes: uniform, Zipf-skewed, null-heavy, singleton-rich,
-/// single-column, and TPC-D lineitem. Every default config exercises all
-/// four allocation strategies and all four rewrite strategies.
+/// single-column, grouping-predicate roll-ups, and TPC-D lineitem, plus
+/// the specialised oracle configs flagged above. Every query config
+/// exercises all four allocation strategies and all four rewrite
+/// strategies.
 const std::vector<PropConfig>& DefaultConfigs();
 
 /// Looks up a built-in config by name.

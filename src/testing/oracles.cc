@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <list>
 #include <memory>
 #include <string>
@@ -29,6 +30,7 @@
 #include "resilience/snapshot_io.h"
 #include "sampling/builder.h"
 #include "sampling/maintenance.h"
+#include "sampling/moments.h"
 #include "sampling/shard.h"
 #include "sql/parser.h"
 #include "util/random.h"
@@ -496,6 +498,117 @@ Status CheckVectorizedIdentity(const Table& table,
     CONGRESS_RETURN_NOT_OK(CheckResultsEqual(*rw_ref, *rw_vec, 0.0,
                                              "Integrated-scalar" + suffix,
                                              "Integrated-vectorized" + suffix));
+  }
+  return Status::OK();
+}
+
+namespace {
+
+bool SameBits(double a, double b) {
+  uint64_t x;
+  uint64_t y;
+  std::memcpy(&x, &a, sizeof x);
+  std::memcpy(&y, &b, sizeof y);
+  return x == y;
+}
+
+bool SameKeyBits(const GroupKey& a, const GroupKey& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].type() != b[i].type()) return false;
+    if (a[i].type() == DataType::kDouble
+            ? !SameBits(a[i].AsDouble(), b[i].AsDouble())
+            : !(a[i] == b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool SameVectorBits(const std::vector<double>& a,
+                    const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!SameBits(a[i], b[i])) return false;
+  }
+  return true;
+}
+
+/// `a` and `b` hold the same groups in the same order, with bitwise equal
+/// keys, estimates, standard errors, bounds, support and provenance.
+Status CheckApproximateBits(const ApproximateResult& a,
+                            const ApproximateResult& b,
+                            const std::string& label) {
+  if (a.num_groups() != b.num_groups()) {
+    return Status::Internal(label + ": " + std::to_string(a.num_groups()) +
+                            " vs " + std::to_string(b.num_groups()) +
+                            " groups");
+  }
+  for (size_t g = 0; g < a.num_groups(); ++g) {
+    const ApproximateGroupRow& x = a.rows()[g];
+    const ApproximateGroupRow& y = b.rows()[g];
+    const std::string where =
+        label + ", row " + std::to_string(g) + " " + GroupKeyToString(x.key);
+    if (!SameKeyBits(x.key, y.key)) {
+      return Status::Internal(where + ": key differs from " +
+                              GroupKeyToString(y.key));
+    }
+    if (!SameVectorBits(x.estimates, y.estimates)) {
+      return Status::Internal(where + ": estimates differ");
+    }
+    if (!SameVectorBits(x.std_errors, y.std_errors)) {
+      return Status::Internal(where + ": std_errors differ");
+    }
+    if (!SameVectorBits(x.bounds, y.bounds)) {
+      return Status::Internal(where + ": bounds differ");
+    }
+    if (x.support != y.support || x.provenance != y.provenance) {
+      return Status::Internal(where + ": support or provenance differs");
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status CheckRollupIdentity(const StratifiedSample& sample,
+                           const GroupByQuery& query) {
+  if (!IsStratumRollup(sample, query)) return Status::OK();
+  const GroupByQuery scalar = ScalarizeQuery(query);
+  // Every third stratum excluded: a combined plan's sampled tail.
+  EstimatorOptions tail;
+  for (uint32_t s = 0; s < sample.strata().size(); s += 3) {
+    tail.excluded_strata.push_back(s);
+  }
+  for (size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
+    ExecutorOptions execution;
+    execution.num_threads = threads;
+    execution.morsel_size = 512;  // Force fan-out on harness-sized tables.
+    // Fresh moments per thread count, so each run also builds the
+    // roll-up cache entry it reads.
+    const SampleMoments moments = SampleMoments::Compute(sample);
+    for (BoundMethod method :
+         {BoundMethod::kChebyshev, BoundMethod::kHoeffding}) {
+      for (const EstimatorOptions& base : {EstimatorOptions{}, tail}) {
+        EstimatorOptions options = base;
+        options.bound_method = method;
+        const std::string label =
+            std::string(BoundMethodToString(method)) +
+            (options.excluded_strata.empty() ? "" : ", tail") + " @" +
+            std::to_string(threads) + "t";
+        auto rollup =
+            EstimateRollup(sample, moments, query, options, execution);
+        CONGRESS_RETURN_NOT_OK(rollup.status());
+        auto scan = EstimateGroupBy(sample, query, options, execution);
+        CONGRESS_RETURN_NOT_OK(scan.status());
+        CONGRESS_RETURN_NOT_OK(CheckApproximateBits(
+            *scan, *rollup, "sample scan vs roll-up, " + label));
+        auto scan_scalar = EstimateGroupBy(sample, scalar, options, execution);
+        CONGRESS_RETURN_NOT_OK(scan_scalar.status());
+        CONGRESS_RETURN_NOT_OK(CheckApproximateBits(
+            *scan_scalar, *rollup, "scalar sample scan vs roll-up, " + label));
+      }
+    }
   }
   return Status::OK();
 }

@@ -59,6 +59,17 @@ Status CheckVectorizedIdentity(const Table& table,
                                const StratifiedSample& sample,
                                const GroupByQuery& query);
 
+/// The moments path answers a stratum roll-up bit-identically to the
+/// sample scan: when `query` is a roll-up of `sample` (IsStratumRollup),
+/// EstimateRollup must equal EstimateGroupBy (and the scan with its
+/// predicate hidden from the batch kernels) bitwise — group set and
+/// order, keys, estimates, standard errors, bounds and support — at 1, 4
+/// and 8 threads, under Chebyshev and Hoeffding bounds, over the whole
+/// sample and over a combined plan's tail (excluded strata). OK without
+/// checking anything for other queries.
+Status CheckRollupIdentity(const StratifiedSample& sample,
+                           const GroupByQuery& query);
+
 /// The SQL front end agrees with the programmatic query builder: `sql`
 /// must parse, bind against `table`'s schema, name `table_name`, and
 /// execute to the bit-identical exact answer of `query`.

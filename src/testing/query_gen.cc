@@ -62,7 +62,10 @@ GeneratedQuery RandomQuery(const Schema& schema,
   if (rng->Bernoulli(config.predicate_probability)) {
     const size_t num_conds = 1 + static_cast<size_t>(rng->UniformInt(2));
     for (size_t i = 0; i < num_conds; ++i) {
-      size_t col = numeric_columns[rng->UniformInt(numeric_columns.size())];
+      const std::vector<size_t>& targets = config.grouping_predicates_only
+                                                ? grouping_columns
+                                                : numeric_columns;
+      size_t col = targets[rng->UniformInt(targets.size())];
       const std::string& name = schema.field(col).name;
       switch (rng->UniformInt(3)) {
         case 0: {  // BETWEEN on a numeric column.

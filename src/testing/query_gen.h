@@ -22,6 +22,10 @@ struct QueryGenConfig {
   /// columns (a roll-up); 0 always groups at the finest grouping. The
   /// empty grouping (single global group) is also drawn from this.
   double rollup_probability = 0.5;
+  /// Every WHERE conjunct (range, ordering or equality) reads a grouping
+  /// column, so each query is a stratum roll-up (core/estimator.h) of a
+  /// sample stratified on those columns.
+  bool grouping_predicates_only = false;
 };
 
 /// A generated query in both representations the SQL differential oracle

@@ -296,6 +296,59 @@ TEST_F(AquaEngineTest, ConcurrentInsertersWithLiveReader) {
   EXPECT_EQ((*table)->num_rows(), 1000u + kThreads * kPerThread);
 }
 
+TEST_F(AquaEngineTest, ConcurrentRollupAnswersOnOnePinnedSnapshot) {
+  // Readers race to build and read the pinned synopsis's roll-up cache;
+  // every answer must equal the sample scan's bitwise. Run under TSan.
+  auto snapshot = engine_.GetSnapshot("sales");
+  ASSERT_TRUE(snapshot.ok());
+  const AquaSynopsis& synopsis = *(*snapshot)->synopsis;
+  std::vector<GroupByQuery> queries;
+  for (std::vector<size_t> grouping :
+       {std::vector<size_t>{}, std::vector<size_t>{0}, std::vector<size_t>{1},
+        std::vector<size_t>{0, 1}, std::vector<size_t>{1, 0}}) {
+    GroupByQuery query;
+    query.group_columns = grouping;
+    query.aggregates.emplace_back(AggregateKind::kSum, 2);
+    query.aggregates.emplace_back(AggregateKind::kCount, 0);
+    query.aggregates.emplace_back(AggregateKind::kAvg, 2);
+    queries.push_back(query);
+  }
+  std::vector<ApproximateResult> expected;
+  for (const GroupByQuery& query : queries) {
+    auto scan = EstimateGroupBy(synopsis.sample(), query,
+                                synopsis.config().estimator);
+    ASSERT_TRUE(scan.ok());
+    expected.push_back(std::move(scan).value());
+  }
+
+  constexpr size_t kReaders = 4;
+  std::atomic<size_t> ready{0};
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      ready.fetch_add(1);
+      while (ready.load() < kReaders) {
+      }
+      for (size_t i = 0; i < 4 * queries.size(); ++i) {
+        const size_t q = (i + r) % queries.size();
+        auto answer = synopsis.Answer(queries[q]);
+        bool same = answer.ok() &&
+                    answer->num_groups() == expected[q].num_groups();
+        for (size_t g = 0; same && g < answer->num_groups(); ++g) {
+          const ApproximateGroupRow& a = answer->rows()[g];
+          const ApproximateGroupRow& e = expected[q].rows()[g];
+          same = a.key == e.key && a.estimates == e.estimates &&
+                 a.bounds == e.bounds && a.support == e.support;
+        }
+        if (!same) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+}
+
 TEST_F(AquaEngineTest, DropTable) {
   EXPECT_TRUE(engine_.DropTable("sales").ok());
   EXPECT_FALSE(engine_.HasTable("sales"));

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/synopsis.h"
 #include "engine/executor.h"
+#include "engine/expression.h"
+#include "obs/metrics.h"
 #include "sampling/builder.h"
+#include "sampling/moments.h"
 
 namespace congress {
 namespace {
@@ -295,6 +299,149 @@ TEST(ApproximateResultTest, FindAndSort) {
   EXPECT_EQ(r.Find({Value(int64_t{3})}), nullptr);
   QueryResult qr = r.ToQueryResult();
   EXPECT_EQ(qr.num_groups(), 2u);
+}
+
+TEST(ApproximateResultTest, FindOnUnsortedAndFilteredResults) {
+  ApproximateResult r;
+  for (int64_t k : {3, 1, 2}) {
+    ApproximateGroupRow row;
+    row.key = {Value(k)};
+    row.estimates = {static_cast<double>(10 * k)};
+    row.std_errors = {0.0};
+    row.bounds = {0.0};
+    r.Add(row);
+  }
+  // Insertion order, not key order: Find must still see every group.
+  ASSERT_NE(r.Find({Value(int64_t{1})}), nullptr);
+  EXPECT_EQ(r.Find({Value(int64_t{3})})->estimates[0], 30.0);
+  EXPECT_EQ(r.Find({Value(int64_t{4})}), nullptr);
+  r.SortByKey();
+  HavingCondition keep_big;
+  keep_big.aggregate_index = 0;
+  keep_big.op = CompareOp::kGe;
+  keep_big.value = 20.0;
+  r.FilterHaving({keep_big});
+  ASSERT_EQ(r.num_groups(), 2u);
+  EXPECT_EQ(r.rows()[0].key[0], Value(int64_t{2}));
+  EXPECT_EQ(r.Find({Value(int64_t{1})}), nullptr);
+  ASSERT_NE(r.Find({Value(int64_t{3})}), nullptr);
+  EXPECT_EQ(r.Find({Value(int64_t{3})})->estimates[0], 30.0);
+}
+
+void ExpectSameBits(const ApproximateResult& a, const ApproximateResult& b) {
+  ASSERT_EQ(a.num_groups(), b.num_groups());
+  for (size_t g = 0; g < a.num_groups(); ++g) {
+    const ApproximateGroupRow& x = a.rows()[g];
+    const ApproximateGroupRow& y = b.rows()[g];
+    EXPECT_EQ(x.key, y.key);
+    EXPECT_EQ(x.support, y.support);
+    // EXPECT_EQ on doubles is exact: the two paths must agree bitwise.
+    EXPECT_EQ(x.estimates, y.estimates) << GroupKeyToString(x.key);
+    EXPECT_EQ(x.std_errors, y.std_errors) << GroupKeyToString(x.key);
+    EXPECT_EQ(x.bounds, y.bounds) << GroupKeyToString(x.key);
+  }
+}
+
+TEST(EstimatorTest, RollupMatchesSampleScanBitwise) {
+  Table t = MakeTable();
+  Random rng(11);
+  auto sample =
+      BuildSample(t, {0, 1}, AllocationStrategy::kCongress, 90.0, &rng);
+  ASSERT_TRUE(sample.ok());
+  const SampleMoments moments = SampleMoments::Compute(*sample);
+  GroupByQuery by_h = SumQuery({1});
+  by_h.predicate =
+      MakeComparisonPredicate(0, CompareOp::kNe, Value(int64_t{1}));
+  for (const GroupByQuery& q : {SumQuery({}), SumQuery({0}), SumQuery({1, 0}),
+                                SumQuery({0, 1}), by_h}) {
+    ASSERT_TRUE(IsStratumRollup(*sample, q));
+    for (BoundMethod method :
+         {BoundMethod::kChebyshev, BoundMethod::kHoeffding}) {
+      EstimatorOptions options;
+      options.bound_method = method;
+      auto scan = EstimateGroupBy(*sample, q, options);
+      auto rollup = EstimateRollup(*sample, moments, q, options);
+      ASSERT_TRUE(scan.ok() && rollup.ok());
+      ExpectSameBits(*scan, *rollup);
+      options.excluded_strata = {0, 3};
+      scan = EstimateGroupBy(*sample, q, options);
+      rollup = EstimateRollup(*sample, moments, q, options);
+      ASSERT_TRUE(scan.ok() && rollup.ok());
+      ExpectSameBits(*scan, *rollup);
+    }
+  }
+}
+
+TEST(EstimatorTest, RollupKeysComeFromTheSampleRows) {
+  // One stratum whose key (first seen in the base relation) is 0.0 while
+  // its first sampled row holds -0.0: the moments path must key the group
+  // as the sample scan does, sign bit included.
+  Schema schema({Field{"d", DataType::kDouble}, Field{"v", DataType::kDouble}});
+  StratifiedSample sample(schema, {0});
+  ASSERT_TRUE(sample.DeclareStratum({Value(0.0)}, 10).ok());
+  ASSERT_TRUE(sample.DeclareStratum({Value(1.0)}, 10).ok());
+  ASSERT_TRUE(sample.AppendRowValues({Value(1.0), Value(4.0)}).ok());
+  ASSERT_TRUE(sample.AppendRowValues({Value(-0.0), Value(2.0)}).ok());
+  ASSERT_TRUE(sample.AppendRowValues({Value(0.0), Value(3.0)}).ok());
+  // NaN equals no declared key, so no sample holds a NaN grouping value.
+  EXPECT_FALSE(sample.AppendRowValues({Value(std::nan("")), Value(1.0)}).ok());
+  GroupByQuery q;
+  q.group_columns = {0};
+  q.aggregates = {AggregateSpec{AggregateKind::kSum, 1}};
+  auto scan = EstimateGroupBy(sample, q);
+  auto rollup = EstimateRollup(sample, SampleMoments::Compute(sample), q);
+  ASSERT_TRUE(scan.ok() && rollup.ok());
+  ASSERT_EQ(rollup->num_groups(), 2u);
+  EXPECT_TRUE(std::signbit(rollup->rows()[0].key[0].AsDouble()));
+  ExpectSameBits(*scan, *rollup);
+}
+
+uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name).value();
+}
+
+TEST(EstimatorTest, AnswerReadsNoSampleRowsForGroupingPredicates) {
+#ifdef CONGRESS_DISABLE_OBS
+  GTEST_SKIP() << "kernel tallies are compiled out";
+#endif
+  Table t = MakeTable();
+  SynopsisConfig config;
+  config.grouping_columns = {"g", "h"};
+  config.sample_fraction = 0.5;
+  auto synopsis = AquaSynopsis::Build(t, config);
+  ASSERT_TRUE(synopsis.ok()) << synopsis.status().ToString();
+  auto rows_read = [&](const GroupByQuery& q) {
+    const uint64_t matched = CounterValue("kernels.match.rows_in");
+    const uint64_t evaluated = CounterValue("kernels.eval.rows");
+    auto answer = synopsis->Answer(q);
+    EXPECT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_GT(answer->num_groups(), 0u);
+    return (CounterValue("kernels.match.rows_in") - matched) +
+           (CounterValue("kernels.eval.rows") - evaluated);
+  };
+
+  GroupByQuery on_grouping = SumQuery({0});
+  on_grouping.predicate =
+      MakeAndPredicate({MakeRangePredicate(0, 0, 1),
+                        MakeEqualsPredicate(1, Value(int64_t{1}))});
+  EXPECT_EQ(rows_read(on_grouping), 0u);
+  EXPECT_EQ(rows_read(SumQuery({1})), 0u);
+
+  // A measure-column predicate, an expression aggregate and a grouping
+  // finer than the strata still scan the sample.
+  GroupByQuery on_measure = SumQuery({0});
+  on_measure.predicate = MakeRangePredicate(2, 0, 8);
+  EXPECT_FALSE(IsStratumRollup(synopsis->sample(), on_measure));
+  EXPECT_GT(rows_read(on_measure), 0u);
+  GroupByQuery expression = SumQuery({0});
+  expression.aggregates[0] = AggregateSpec{
+      AggregateKind::kSum,
+      MakeBinaryExpr(ArithOp::kMul, MakeColumnExpr(2), MakeLiteralExpr(2.0))};
+  EXPECT_FALSE(IsStratumRollup(synopsis->sample(), expression));
+  EXPECT_GT(rows_read(expression), 0u);
+  GroupByQuery finer = SumQuery({0, 2});
+  EXPECT_FALSE(IsStratumRollup(synopsis->sample(), finer));
+  EXPECT_GT(rows_read(finer), 0u);
 }
 
 }  // namespace

@@ -102,5 +102,48 @@ TEST(PredicateTest, ToStringRendersStructure) {
   EXPECT_NE(s.find("<="), std::string::npos);
 }
 
+TEST(PredicateTest, BuiltInsReportTheColumnsTheyRead) {
+  auto columns_of = [](const PredicatePtr& p) {
+    std::vector<size_t> columns;
+    EXPECT_TRUE(p->CollectColumns(&columns)) << p->ToString();
+    return columns;
+  };
+  EXPECT_TRUE(columns_of(MakeTruePredicate()).empty());
+  EXPECT_EQ(columns_of(MakeRangePredicate(2, 0, 1)), std::vector<size_t>{2});
+  EXPECT_EQ(columns_of(MakeEqualsPredicate(1, Value("A"))),
+            std::vector<size_t>{1});
+  EXPECT_EQ(columns_of(MakeLessEqualPredicate(0, 5)), std::vector<size_t>{0});
+  EXPECT_EQ(columns_of(MakeComparisonPredicate(2, CompareOp::kNe, Value(1.5))),
+            std::vector<size_t>{2});
+}
+
+TEST(PredicateTest, AndReportsTheUnionOfItsChildren) {
+  auto p = MakeAndPredicate(
+      {MakeRangePredicate(0, 1, 2),
+       MakeAndPredicate({MakeLessEqualPredicate(2, 5),
+                         MakeEqualsPredicate(1, Value("B"))})});
+  std::vector<size_t> columns;
+  ASSERT_TRUE(p->CollectColumns(&columns));
+  EXPECT_EQ(columns, (std::vector<size_t>{0, 2, 1}));
+}
+
+/// A subclass that does not override CollectColumns.
+class EvenId final : public Predicate {
+ public:
+  bool Matches(const Table& table, size_t row) const override {
+    return table.Int64Column(0)[row] % 20 == 0;
+  }
+  std::string ToString(const Schema*) const override { return "even id"; }
+};
+
+TEST(PredicateTest, CustomSubclassReportsUnknownColumns) {
+  std::vector<size_t> columns;
+  EXPECT_FALSE(EvenId().CollectColumns(&columns));
+  // One unknown child makes the whole conjunction unknown.
+  auto p = MakeAndPredicate(
+      {MakeRangePredicate(0, 1, 2), std::make_shared<EvenId>()});
+  EXPECT_FALSE(p->CollectColumns(&columns));
+}
+
 }  // namespace
 }  // namespace congress

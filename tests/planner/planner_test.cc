@@ -83,6 +83,51 @@ TEST_F(PlannerTest, PredictionIsFiniteAndExactForPlainRollup) {
   EXPECT_EQ(prediction->num_groups, 4u);  // 4 regions.
 }
 
+TEST_F(PlannerTest, PredictedBoundIsTheRealizedBoundForPlainRollups) {
+  // Without a predicate the error model and Answer fold the same
+  // per-stratum terms and finish them through the same bound model.
+  for (BoundMethod method :
+       {BoundMethod::kChebyshev, BoundMethod::kHoeffding}) {
+    SynopsisConfig config = SalesConfig();
+    config.estimator.bound_method = method;
+    auto synopsis = AquaSynopsis::Build(SalesTable(), config);
+    ASSERT_TRUE(synopsis.ok()) << synopsis.status().ToString();
+    for (std::vector<size_t> grouping : {std::vector<size_t>{},
+                                         std::vector<size_t>{0},
+                                         std::vector<size_t>{1},
+                                         std::vector<size_t>{0, 1}}) {
+      for (AggregateKind kind : {AggregateKind::kSum, AggregateKind::kCount,
+                                 AggregateKind::kAvg}) {
+        GroupByQuery query;
+        query.group_columns = grouping;
+        query.aggregates.emplace_back(kind, 2);
+        auto answer = synopsis->Answer(query);
+        auto prediction = PredictSampleError(
+            *synopsis, query, config.estimator.confidence);
+        ASSERT_TRUE(answer.ok() && prediction.ok());
+        ASSERT_EQ(prediction->num_groups, answer->num_groups());
+        double worst = 0.0;
+        double total = 0.0;
+        for (const ApproximateGroupRow& row : answer->rows()) {
+          const double relative =
+              row.bounds[0] / std::max(std::fabs(row.estimates[0]), 1e-9);
+          worst = std::max(worst, relative);
+          total += relative;
+        }
+        const double mean = total / static_cast<double>(answer->num_groups());
+        const std::string label =
+            std::string(BoundMethodToString(method)) + " " +
+            AggregateKindToString(kind) + " over " +
+            std::to_string(grouping.size()) + " columns";
+        EXPECT_NEAR(prediction->max_relative_bound, worst, 1e-12 * worst)
+            << label;
+        EXPECT_NEAR(prediction->mean_relative_bound, mean, 1e-12 * mean)
+            << label;
+      }
+    }
+  }
+}
+
 TEST_F(PlannerTest, ExcludedStrataLowerThePrediction) {
   auto all = PredictSampleError(*snapshot_->synopsis, SumQuery(), 0.95);
   ASSERT_TRUE(all.ok());
