@@ -16,19 +16,21 @@ namespace congress {
 
 namespace {
 
-/// Builds one degradation-ladder fallback synopsis from the working
+/// Builds one degradation-ladder fallback synopsis from the snapshot
 /// table: the primary's config with the strategy swapped and incremental
 /// maintenance off (fallbacks are frozen, like everything else in a
-/// snapshot). Failure is recorded in the snapshot, not fatal — the
-/// resilient walk reports it as the rung's cause.
-void BuildFallback(const Table& table, const SynopsisConfig& primary,
-                   AllocationStrategy strategy,
+/// snapshot). Its census and strata come from the snapshot's base index
+/// when there is one. Failure is recorded in the snapshot, not fatal —
+/// the resilient walk reports it as the rung's cause.
+void BuildFallback(const Table& table, const GroupIndex* index,
+                   const SynopsisConfig& primary, AllocationStrategy strategy,
                    std::shared_ptr<const AquaSynopsis>* slot,
                    Status* slot_status) {
   SynopsisConfig fallback = primary;
   fallback.strategy = strategy;
   fallback.incremental = false;
-  auto built = AquaSynopsis::Build(table, fallback);
+  auto built = index != nullptr ? AquaSynopsis::Build(table, fallback, *index)
+                                : AquaSynopsis::Build(table, fallback);
   if (!built.ok()) {
     *slot = nullptr;
     *slot_status = built.status();
@@ -43,8 +45,10 @@ void BuildFallback(const Table& table, const SynopsisConfig& primary,
 /// the mean over finest groups and measures of |summary - exact| /
 /// max(|exact|, 1) — against one exact reference answer. The residual is
 /// the planner's accuracy score for summaries, which carry no
-/// probabilistic error model.
+/// probabilistic error model. With no member configured it does
+/// nothing: the exact reference is only built for a residual to score.
 void BuildFleet(AquaSnapshot* snapshot, const SynopsisConfig& config) {
+  if (!config.fleet_histogram && !config.fleet_wavelet) return;
   const std::vector<size_t>& grouping =
       snapshot->synopsis->grouping_column_indices();
   const Table& table = *snapshot->table;
@@ -146,56 +150,75 @@ Status AquaEngine::PublishLocked(const std::string& name,
   auto snapshot = std::make_shared<AquaSnapshot>();
   snapshot->name = name;
 
-  // Freeze the primary synopsis. Incremental relations drain the ingest
-  // shards — the merge replays (deterministic) or re-allocates
-  // (free-running) the buffered rows into the publishable sample, and
-  // the drained rows extend the working table in merge order, so the
-  // snapshot's table and synopsis describe the same stream prefix.
-  // Non-incremental relations rebuild from the working table, which is
-  // what registration built in the first place.
+  // Incremental relations drain the ingest shards first — the merge
+  // replays (deterministic) or re-allocates (free-running) the buffered
+  // rows into the publishable sample, and the drained rows extend the
+  // working table in merge order, so the snapshot's table and synopsis
+  // describe the same stream prefix.
+  std::optional<AquaSynopsis> synopsis;
   if (state->ingest != nullptr) {
     auto delta = state->ingest->MaterializeForPublish();
     if (!delta.ok()) return delta.status();
     for (const std::vector<Value>& row : delta->merged_rows) {
       CONGRESS_RETURN_NOT_OK(state->working_table.AppendRow(row));
     }
-    auto synopsis = AquaSynopsis::FromSample(
+    auto frozen = AquaSynopsis::FromSample(
         std::move(delta->sample), state->config, state->target_sample_size,
         delta->tuples_seen);
-    if (!synopsis.ok()) return synopsis.status();
-    snapshot->synopsis =
-        std::make_shared<const AquaSynopsis>(std::move(synopsis).value());
-  } else {
-    auto synopsis = AquaSynopsis::Build(state->working_table, state->config);
-    if (!synopsis.ok()) return synopsis.status();
-    snapshot->synopsis =
-        std::make_shared<const AquaSynopsis>(std::move(synopsis).value());
+    if (!frozen.ok()) return frozen.status();
+    synopsis.emplace(std::move(frozen).value());
   }
 
   snapshot->table = std::make_shared<const Table>(state->working_table);
 
+  // The row→stratum index over the snapshot table: the planner's
+  // combined plans pull outlier rows through it, and every two-pass
+  // sample below takes its census and strata from it. The table only
+  // ever grows by appends, so the last publish's index is extended by
+  // the new rows rather than rebuilt.
+  if (!state->restored) {
+    auto index =
+        state->base_index != nullptr
+            ? GroupIndex::Extend(*state->base_index, *snapshot->table,
+                                 state->config.execution)
+            : GroupIndex::Build(*snapshot->table, state->grouping,
+                                state->config.execution);
+    // On failure the next publish starts over with a full build.
+    state->base_index =
+        index.ok() ? std::make_shared<const GroupIndex>(std::move(index).value())
+                   : nullptr;
+  }
+  const GroupIndex* index = state->base_index.get();
+
+  // Non-incremental relations rebuild from the working table, which is
+  // what registration built in the first place.
+  if (!synopsis.has_value()) {
+    auto built =
+        index != nullptr
+            ? AquaSynopsis::Build(*snapshot->table, state->config, *index)
+            : AquaSynopsis::Build(*snapshot->table, state->config);
+    if (!built.ok()) return built.status();
+    synopsis.emplace(std::move(built).value());
+  }
+  snapshot->synopsis =
+      std::make_shared<const AquaSynopsis>(*std::move(synopsis));
+
   // Degradation-ladder fallbacks are part of the snapshot, so the
   // resilient read path never builds (or caches) anything. The same goes
-  // for the planner's inputs: the row→stratum index combined plans pull
-  // outlier rows through, and the optional histogram/wavelet fleet.
+  // for the planner's inputs: the base index and the optional
+  // histogram/wavelet fleet.
   if (state->restored) {
     MarkBaseUnavailable(snapshot.get());
   } else {
-    auto index = GroupIndex::Build(
-        *snapshot->table, snapshot->synopsis->grouping_column_indices(),
-        state->config.execution);
-    if (index.ok()) {
-      snapshot->base_group_index =
-          std::make_shared<const GroupIndex>(std::move(index).value());
-    }
+    snapshot->base_group_index = state->base_index;
     BuildFleet(snapshot.get(), state->config);
     const SynopsisConfig& primary = snapshot->synopsis->config();
-    BuildFallback(state->working_table, primary,
+    BuildFallback(*snapshot->table, index, primary,
                   AllocationStrategy::kBasicCongress,
                   &snapshot->fallback_basic,
                   &snapshot->fallback_basic_status);
-    BuildFallback(state->working_table, primary, AllocationStrategy::kHouse,
-                  &snapshot->fallback_house,
+    BuildFallback(*snapshot->table, index, primary,
+                  AllocationStrategy::kHouse, &snapshot->fallback_house,
                   &snapshot->fallback_house_status);
   }
 
@@ -211,9 +234,10 @@ Status AquaEngine::RegisterTable(const std::string& name, Table table,
 
   MaintenanceState state;
   state.config = config;
+  auto indices = ResolveGroupingIndices(table.schema(), config);
+  if (!indices.ok()) return indices.status();
+  state.grouping = *indices;
   if (config.incremental) {
-    auto indices = ResolveGroupingIndices(table.schema(), config);
-    if (!indices.ok()) return indices.status();
     auto size = ResolveSampleSize(config, table.num_rows());
     if (!size.ok()) return size.status();
     state.target_sample_size = *size;

@@ -34,12 +34,12 @@ using ResilientAnswer = planner::PlannedAnswer;
 /// lives in the engine twice. The *published* side is an immutable
 /// AquaSnapshot in an RCU-style Catalog — read paths (Query, QueryExact,
 /// QueryVia, QueryResilient, ExplainRewrite, Get*, Checkpoint) pin one
-/// snapshot with a wait-free atomic load and answer from it alone, so
-/// they are const, lock-free, and race-free against any writer. The
-/// *maintenance* side has two tiers: Insert/InsertBatch append to a
-/// sharded lock-free ingest buffer (sampling/shard.h, DESIGN.md §15) and
-/// never take the writer lock, so ingest overlaps queries *and*
-/// publishes; Register/Drop/Refresh/Restore serialize on writer_mu_, and
+/// snapshot by copying one pointer (a writer blocks that copy only for
+/// its pointer swap) and answer from it alone, so they are const and
+/// race-free against any writer. The *maintenance* side has two tiers:
+/// Insert/InsertBatch append to a sharded lock-free ingest buffer
+/// (sampling/shard.h, DESIGN.md §15) and never take the writer lock, so
+/// ingest overlaps queries *and* publishes; Register/Drop/Refresh/Restore serialize on writer_mu_, and
 /// Refresh drains the shards into the relation's working table and
 /// sample, freezes the result into the next snapshot, and atomically
 /// publishes it. A query that pinned a snapshot keeps it alive (and
@@ -130,6 +130,9 @@ class AquaEngine {
 
   /// Freezes the maintenance state into a new immutable snapshot
   /// (synopsis + fallbacks + table copy) and atomically publishes it.
+  /// Besides the table copy, the work is about the delta and the
+  /// samples: the base group index is extended by the appended rows, and
+  /// both fallbacks draw from it without re-interning the table.
   Status Refresh(const std::string& name);
 
   /// Serializes the *published* snapshot's synopsis to `path` (the
@@ -173,6 +176,12 @@ class AquaEngine {
     SynopsisConfig config;
     Table working_table;
     std::shared_ptr<ShardedMaintainer> ingest;  // Null: non-incremental.
+    /// Resolved grouping column indices of `config`.
+    std::vector<size_t> grouping;
+    /// The last published base index (over the working table as of that
+    /// publish); the next publish extends it by the appended rows. Null
+    /// before the first publish and for restored relations.
+    std::shared_ptr<const GroupIndex> base_index;
     uint64_t target_sample_size = 0;
     bool restored = false;  ///< Base relation unavailable (RestoreTable).
   };

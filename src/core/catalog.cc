@@ -65,12 +65,23 @@ std::shared_ptr<const AquaSnapshot> Catalog::Pin(
                                              holder->snapshot.get());
 }
 
+std::shared_ptr<const CatalogVersion> Catalog::Swap(
+    std::shared_ptr<const CatalogVersion> next) {
+  std::unique_lock<std::shared_mutex> lock(current_mu_);
+  current_.swap(next);
+  return next;
+}
+
 Status Catalog::Publish(std::shared_ptr<AquaSnapshot> snapshot) {
   if (snapshot == nullptr || snapshot->synopsis == nullptr ||
       snapshot->table == nullptr || snapshot->name.empty()) {
     return Status::InvalidArgument(
         "catalog snapshot needs a name, a table, and a synopsis");
   }
+  // Declared before the lock so the replaced version — and with it,
+  // unless a reader still pins it, the previous snapshot — is freed
+  // after writer_mu_ is released and outside the timed swap.
+  std::shared_ptr<const CatalogVersion> retired;
   std::lock_guard<std::mutex> lock(writer_mu_);
   const auto start = std::chrono::steady_clock::now();
   auto next = std::make_shared<CatalogVersion>(*Current());
@@ -80,8 +91,7 @@ Status Catalog::Publish(std::shared_ptr<AquaSnapshot> snapshot) {
   const std::string name = snapshot->name;
   next->snapshots_[name] =
       std::shared_ptr<const AquaSnapshot>(std::move(snapshot));
-  current_.store(std::shared_ptr<const CatalogVersion>(std::move(next)),
-                 std::memory_order_release);
+  retired = Swap(std::move(next));
   epoch_.store(epoch, std::memory_order_release);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   CONGRESS_METRIC_RECORD_NANOS(
@@ -95,6 +105,7 @@ Status Catalog::Publish(std::shared_ptr<AquaSnapshot> snapshot) {
 }
 
 Status Catalog::Remove(const std::string& name) {
+  std::shared_ptr<const CatalogVersion> retired;  // Freed after unlock.
   std::lock_guard<std::mutex> lock(writer_mu_);
   std::shared_ptr<const CatalogVersion> current = Current();
   if (current->Find(name) == nullptr) {
@@ -105,8 +116,7 @@ Status Catalog::Remove(const std::string& name) {
   const uint64_t epoch = epoch_.load(std::memory_order_relaxed) + 1;
   next->epoch_ = epoch;
   next->snapshots_.erase(name);
-  current_.store(std::shared_ptr<const CatalogVersion>(std::move(next)),
-                 std::memory_order_release);
+  retired = Swap(std::move(next));
   epoch_.store(epoch, std::memory_order_release);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   CONGRESS_METRIC_RECORD_NANOS(

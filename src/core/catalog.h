@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -99,27 +100,34 @@ class CatalogVersion {
 };
 
 /// RCU-style publication point for AquaSnapshots. Readers acquire the
-/// current CatalogVersion with one atomic shared_ptr load — wait-free,
-/// never blocked by writers. Writers (register / refresh / drop) copy
-/// the current version, splice in the new snapshot, and atomically swap
-/// the pointer under a light mutex that only serializes writers against
-/// each other. Old versions and their snapshots are reclaimed by
-/// shared_ptr reference counting when the last reader releases them —
-/// epoch-based reclamation with the count standing in for the grace
-/// period, which is exactly right at this scale.
+/// current CatalogVersion by copying one shared_ptr under a shared lock;
+/// writers hold that lock exclusively only for the pointer swap, never
+/// while building or freeing a version, so a reader waits at most one
+/// swap. Writers (register / refresh / drop) copy the current version,
+/// splice in the new snapshot, and swap the pointer under a light mutex
+/// that only serializes writers against each other. Old versions and
+/// their snapshots are reclaimed by shared_ptr reference counting when
+/// the last reader releases them — epoch-based reclamation with the
+/// count standing in for the grace period, which is exactly right at
+/// this scale. (A std::atomic<std::shared_ptr> would make the load
+/// lock-free, but libstdc++ 12 implements it with a spin bit that
+/// ThreadSanitizer does not model, so the race checker reported the
+/// store/load pair as a data race.)
 ///
 /// Obs: `catalog.epoch` (gauge, current generation),
 /// `catalog.published_snapshots` (counter), `catalog.pinned_readers`
 /// (gauge, live Pin() handles), `catalog.swap_latency` (histogram over
 /// the writer's copy-and-swap section — the region a stop-the-world
-/// design would make readers wait out).
+/// design would make readers wait out; freeing the retired version
+/// happens after it, outside the writer lock).
 class Catalog {
  public:
   Catalog();
 
-  /// Current generation; one atomic load, never blocks.
+  /// Current generation; blocks at most for a writer's pointer swap.
   std::shared_ptr<const CatalogVersion> Current() const {
-    return current_.load(std::memory_order_acquire);
+    std::shared_lock<std::shared_mutex> lock(current_mu_);
+    return current_;
   }
 
   /// Pins the named snapshot for a reader: the returned handle keeps the
@@ -144,9 +152,16 @@ class Catalog {
   }
 
  private:
+  /// Installs `next` as the current version and returns the one it
+  /// replaced, for the caller to release after dropping writer_mu_.
+  std::shared_ptr<const CatalogVersion> Swap(
+      std::shared_ptr<const CatalogVersion> next);
+
   /// Serializes writers; readers never touch it.
   std::mutex writer_mu_;
-  std::atomic<std::shared_ptr<const CatalogVersion>> current_;
+  /// Guards current_: shared for readers' copies, exclusive for the swap.
+  mutable std::shared_mutex current_mu_;
+  std::shared_ptr<const CatalogVersion> current_;
   std::atomic<uint64_t> epoch_{0};
   /// Shared with Pin() handles so a handle released after the catalog is
   /// destroyed still has a live counter to decrement.

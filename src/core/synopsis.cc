@@ -40,6 +40,18 @@ Result<uint64_t> ResolveSampleSize(const SynopsisConfig& config,
 
 Result<AquaSynopsis> AquaSynopsis::Build(const Table& base,
                                          const SynopsisConfig& config) {
+  return BuildWith(base, config, nullptr);
+}
+
+Result<AquaSynopsis> AquaSynopsis::Build(const Table& base,
+                                         const SynopsisConfig& config,
+                                         const GroupIndex& index) {
+  return BuildWith(base, config, &index);
+}
+
+Result<AquaSynopsis> AquaSynopsis::BuildWith(const Table& base,
+                                             const SynopsisConfig& config,
+                                             const GroupIndex* index) {
   auto indices = ResolveGroupingIndices(base.schema(), config);
   if (!indices.ok()) return indices.status();
   auto size = ResolveSampleSize(config, base.num_rows());
@@ -69,12 +81,17 @@ Result<AquaSynopsis> AquaSynopsis::Build(const Table& base,
     CONGRESS_RETURN_NOT_OK(synopsis.Refresh());
   } else {
     Random rng(config.seed);
-    auto sample = BuildSample(base, *indices, config.strategy,
-                              static_cast<double>(sample_size), &rng,
-                              config.execution.WithScope(build_span.scope()));
+    const ExecutorOptions options =
+        config.execution.WithScope(build_span.scope());
+    auto sample =
+        index != nullptr
+            ? BuildSample(base, *indices, config.strategy,
+                          static_cast<double>(sample_size), &rng, *index,
+                          options)
+            : BuildSample(base, *indices, config.strategy,
+                          static_cast<double>(sample_size), &rng, options);
     if (!sample.ok()) return sample.status();
     synopsis.sample_ = std::move(sample).value();
-    synopsis.rewriter_ = std::make_shared<Rewriter>(synopsis.sample_);
     synopsis.moments_ = SampleMoments::Compute(synopsis.sample_);
   }
   return synopsis;
@@ -105,7 +122,6 @@ Result<AquaSynopsis> AquaSynopsis::Restore(StratifiedSample sample,
   synopsis.target_sample_size_ =
       config.sample_size != 0 ? config.sample_size : sample.num_rows();
   synopsis.sample_ = std::move(sample);
-  synopsis.rewriter_ = std::make_shared<Rewriter>(synopsis.sample_);
   synopsis.moments_ = SampleMoments::Compute(synopsis.sample_);
   synopsis.restored_ = true;
   synopsis.restored_tuples_seen_ = tuples_seen;
@@ -133,7 +149,6 @@ Result<AquaSynopsis> AquaSynopsis::FromSample(StratifiedSample sample,
   }
   synopsis.target_sample_size_ = target_sample_size;
   synopsis.sample_ = std::move(sample);
-  synopsis.rewriter_ = std::make_shared<Rewriter>(synopsis.sample_);
   synopsis.moments_ = SampleMoments::Compute(synopsis.sample_);
   // No maintainer: the frozen synopsis never mutates, so it is safe to
   // share across reader threads. The stream position is carried over for
@@ -189,9 +204,17 @@ Result<ApproximateResult> AquaSynopsis::Estimate(
   return EstimateGroupBy(sample_, query, options, config_.execution);
 }
 
+const Rewriter& AquaSynopsis::rewriter() const {
+  LazyRewriter& lazy = *rewriter_;
+  std::call_once(lazy.once, [&] {
+    lazy.rewriter = std::make_unique<const Rewriter>(sample_);
+  });
+  return *lazy.rewriter;
+}
+
 Result<QueryResult> AquaSynopsis::AnswerVia(const GroupByQuery& query,
                                             RewriteStrategy strategy) const {
-  return rewriter_->Answer(query, strategy, config_.execution);
+  return rewriter().Answer(query, strategy, config_.execution);
 }
 
 Status AquaSynopsis::Insert(const std::vector<Value>& row) {
@@ -210,7 +233,7 @@ Status AquaSynopsis::Refresh() {
                                       target_sample_size_);
   if (!snapshot.ok()) return snapshot.status();
   sample_ = std::move(snapshot).value();
-  rewriter_ = std::make_shared<Rewriter>(sample_);
+  rewriter_ = std::make_shared<LazyRewriter>();
   moments_ = SampleMoments::Compute(sample_);
   return Status::OK();
 }

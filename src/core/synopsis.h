@@ -2,6 +2,7 @@
 #define CONGRESS_CORE_SYNOPSIS_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "sampling/maintenance.h"
 #include "sampling/moments.h"
 #include "sampling/stratified_sample.h"
+#include "storage/group_index.h"
 #include "storage/table.h"
 #include "util/status.h"
 
@@ -105,9 +107,17 @@ class AquaSynopsis {
   static Result<AquaSynopsis> Build(const Table& base,
                                     const SynopsisConfig& config);
 
+  /// As above, with `index` the row→group index of `base` at the
+  /// configured grouping (GroupIndex::Build or Extend): a two-pass build
+  /// takes its census and strata from it instead of interning `base`
+  /// again, and draws the same sample. Ignored for one-pass
+  /// (config.incremental) builds.
+  static Result<AquaSynopsis> Build(const Table& base,
+                                    const SynopsisConfig& config,
+                                    const GroupIndex& index);
+
   /// Reconstructs a read-only synopsis from a recovered sample (see
-  /// resilience/recovery.h): the rewrite materializations are rebuilt,
-  /// queries are served, but Insert() is rejected — maintainer RNG state
+  /// resilience/recovery.h): queries are served, but Insert() is rejected — maintainer RNG state
   /// is not persisted, so the stream cannot resume; rebuild when the base
   /// relation becomes available again. `tuples_seen` records the stream
   /// position the snapshot captured. Grouping columns come from the
@@ -117,9 +127,8 @@ class AquaSynopsis {
                                       uint64_t tuples_seen);
 
   /// Freezes a maintainer-produced sample into a fully immutable,
-  /// query-only synopsis: the rewrite materializations are built once and
-  /// the result holds no maintainer, so concurrent readers can share it
-  /// without synchronization. This is the publish step of the snapshot
+  /// query-only synopsis: the result holds no maintainer, so concurrent
+  /// readers can share it without synchronization. This is the publish step of the snapshot
   /// lifecycle — the engine streams inserts into an off-to-the-side
   /// maintainer and calls FromSample to mint the next published synopsis.
   /// `tuples_seen` records the maintainer's stream position at the
@@ -150,12 +159,15 @@ class AquaSynopsis {
   /// config.incremental; the visible sample updates on Refresh().
   Status Insert(const std::vector<Value>& row);
 
-  /// Re-snapshots the maintainer and rebuilds the rewrite
-  /// materializations. No-op for non-incremental synopses.
+  /// Re-snapshots the maintainer; the rewrite materializations are
+  /// rebuilt on their next use. No-op for non-incremental synopses.
   Status Refresh();
 
   const StratifiedSample& sample() const { return sample_; }
-  const Rewriter& rewriter() const { return *rewriter_; }
+  /// The Section 5.2 rewrite materializations (four copies of the
+  /// sample), built on first use — by this or AnswerVia — and then
+  /// shared. Thread-safe on a shared frozen synopsis.
+  const Rewriter& rewriter() const;
   const SynopsisConfig& config() const { return config_; }
   /// Per-stratum column moments, computed once per (re)build: roll-ups
   /// are answered from them, and the planner scores this synopsis with
@@ -174,11 +186,22 @@ class AquaSynopsis {
  private:
   AquaSynopsis() = default;
 
+  static Result<AquaSynopsis> BuildWith(const Table& base,
+                                        const SynopsisConfig& config,
+                                        const GroupIndex* index);
+
+  /// The rewriter of one sample generation, built at most once.
+  struct LazyRewriter {
+    std::once_flag once;
+    std::unique_ptr<const Rewriter> rewriter;
+  };
+
   SynopsisConfig config_;
   std::vector<size_t> grouping_indices_;
   StratifiedSample sample_;
   SampleMoments moments_;
-  std::shared_ptr<Rewriter> rewriter_;
+  /// Replaced (not reset) whenever sample_ changes.
+  std::shared_ptr<LazyRewriter> rewriter_ = std::make_shared<LazyRewriter>();
   std::shared_ptr<SampleMaintainer> maintainer_;  // Null unless incremental.
   uint64_t target_sample_size_ = 0;
   bool restored_ = false;

@@ -30,10 +30,14 @@ GroupStatistics GroupStatistics::Compute(const Table& table,
   // A bad grouping spec (e.g. out-of-range column) yields empty statistics
   // rather than dereferencing an error Result.
   if (!index.ok()) return GroupStatistics{};
+  return FromIndex(*index);
+}
+
+GroupStatistics GroupStatistics::FromIndex(const GroupIndex& index) {
   std::vector<std::pair<GroupKey, uint64_t>> pairs;
-  pairs.reserve(index->num_groups());
-  for (size_t g = 0; g < index->num_groups(); ++g) {
-    pairs.emplace_back(index->keys()[g], index->counts()[g]);
+  pairs.reserve(index.num_groups());
+  for (size_t g = 0; g < index.num_groups(); ++g) {
+    pairs.emplace_back(index.keys()[g], index.counts()[g]);
   }
   auto result = FromCounts(std::move(pairs));
   return std::move(result).value_or(GroupStatistics{});

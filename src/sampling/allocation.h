@@ -13,6 +13,8 @@
 
 namespace congress {
 
+class GroupIndex;
+
 /// The sample-space allocation strategies of Section 4 of the paper.
 enum class AllocationStrategy {
   kHouse = 0,          ///< Uniform over tuples (Section 4.3).
@@ -36,6 +38,10 @@ class GroupStatistics {
   static GroupStatistics Compute(const Table& table,
                                  const std::vector<size_t>& group_columns,
                                  const ExecutorOptions& options = {});
+
+  /// The census an already-built row→group index describes; Compute is
+  /// GroupIndex::Build followed by this.
+  static GroupStatistics FromIndex(const GroupIndex& index);
 
   /// Builds statistics directly from explicit (key, count) pairs; used by
   /// unit tests and the Figure 5 worked example.

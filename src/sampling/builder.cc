@@ -1,5 +1,7 @@
 #include "sampling/builder.h"
 
+#include <numeric>
+
 #include "obs/metrics.h"
 #include "obs/scope.h"
 #include "sampling/reservoir.h"
@@ -7,14 +9,43 @@
 
 namespace congress {
 
+namespace {
+
+Status CheckIndexMatches(const Table& table,
+                         const std::vector<size_t>& grouping_columns,
+                         const GroupIndex& index) {
+  if (index.num_rows() != table.num_rows() ||
+      index.group_columns() != grouping_columns) {
+    return Status::InvalidArgument(
+        "group index does not describe this table and grouping");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<StratifiedSample> BuildStratifiedSample(
     const Table& table, const std::vector<size_t>& grouping_columns,
     const GroupStatistics& stats, const Allocation& allocation, Random* rng,
     const ExecutorOptions& options) {
+  CONGRESS_SPAN(index_span, options.scope, "sample_index");
+  auto index = GroupIndex::Build(table, grouping_columns,
+                                 options.WithScope(index_span.scope()));
+  if (!index.ok()) return index.status();
+  index_span.Stop();
+  return BuildStratifiedSample(table, grouping_columns, stats, allocation,
+                               rng, *index, options);
+}
+
+Result<StratifiedSample> BuildStratifiedSample(
+    const Table& table, const std::vector<size_t>& grouping_columns,
+    const GroupStatistics& stats, const Allocation& allocation, Random* rng,
+    const GroupIndex& index, const ExecutorOptions& options) {
   if (allocation.expected_sizes.size() != stats.num_groups()) {
     return Status::InvalidArgument(
         "allocation does not align with group statistics");
   }
+  CONGRESS_RETURN_NOT_OK(CheckIndexMatches(table, grouping_columns, index));
   std::vector<uint64_t> sizes = RoundAllocation(stats, allocation);
 
   // One reservoir of base-row indices per stratum.
@@ -24,28 +55,22 @@ Result<StratifiedSample> BuildStratifiedSample(
     reservoirs.emplace_back(static_cast<size_t>(k));
   }
 
-  // Intern the grouping columns once (parallel), then resolve each
-  // distinct group against the statistics once instead of per row. The
-  // reservoir Offer loop itself stays serial and in row order, so the RNG
-  // stream — and therefore the sample — is reproducible and independent
-  // of the thread count.
-  CONGRESS_SPAN(index_span, options.scope, "sample_index");
-  auto index = GroupIndex::Build(table, grouping_columns,
-                                 options.WithScope(index_span.scope()));
-  if (!index.ok()) return index.status();
-  index_span.Stop();
-  std::vector<size_t> stats_index(index->num_groups());
-  for (size_t g = 0; g < index->num_groups(); ++g) {
-    auto idx = stats.IndexOf(index->keys()[g]);
+  // Resolve each distinct group against the statistics once instead of
+  // per row. The reservoir Offer loop stays serial and in row order, so
+  // the RNG stream — and therefore the sample — is reproducible and
+  // independent of the thread count.
+  std::vector<size_t> stats_index(index.num_groups());
+  for (size_t g = 0; g < index.num_groups(); ++g) {
+    auto idx = stats.IndexOf(index.keys()[g]);
     if (!idx.ok()) {
       return Status::InvalidArgument("table contains group " +
-                                     GroupKeyToString(index->keys()[g]) +
+                                     GroupKeyToString(index.keys()[g]) +
                                      " absent from statistics");
     }
     stats_index[g] = *idx;
   }
   CONGRESS_SPAN(reservoir_span, options.scope, "reservoir");
-  const std::vector<uint32_t>& row_ids = index->row_ids();
+  const std::vector<uint32_t>& row_ids = index.row_ids();
   for (size_t row = 0; row < table.num_rows(); ++row) {
     reservoirs[stats_index[row_ids[row]]].Offer(static_cast<uint64_t>(row),
                                                 rng);
@@ -61,18 +86,23 @@ Result<StratifiedSample> BuildStratifiedSample(
   }
   // Append in stratum order: sampled tuples of a group are contiguous,
   // mirroring the paper's "stored compactly in a few disk blocks" point.
+  // Reservoir i holds stratum i's rows (strata were declared in
+  // statistics order), so no row is re-keyed.
+  sample.Reserve(std::accumulate(sizes.begin(), sizes.end(), uint64_t{0}));
   for (size_t i = 0; i < reservoirs.size(); ++i) {
     for (uint64_t row : reservoirs[i].items()) {
-      CONGRESS_RETURN_NOT_OK(sample.Append(table, static_cast<size_t>(row)));
+      CONGRESS_RETURN_NOT_OK(
+          sample.AppendToStratum(table, static_cast<size_t>(row), i));
     }
   }
   return sample;
 }
 
-Result<StratifiedSample> BuildSample(
-    const Table& table, const std::vector<size_t>& grouping_columns,
-    AllocationStrategy strategy, double sample_size, Random* rng,
-    const ExecutorOptions& options) {
+namespace {
+
+Status ValidateBuildSample(const Table& table,
+                           const std::vector<size_t>& grouping_columns,
+                           double sample_size) {
   if (grouping_columns.empty()) {
     return Status::InvalidArgument("at least one grouping column required");
   }
@@ -84,13 +114,37 @@ Result<StratifiedSample> BuildSample(
   if (sample_size <= 0.0) {
     return Status::InvalidArgument("sample size must be positive");
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<StratifiedSample> BuildSample(
+    const Table& table, const std::vector<size_t>& grouping_columns,
+    AllocationStrategy strategy, double sample_size, Random* rng,
+    const ExecutorOptions& options) {
+  CONGRESS_RETURN_NOT_OK(
+      ValidateBuildSample(table, grouping_columns, sample_size));
+  CONGRESS_SPAN(census_span, options.scope, "census");
+  auto index = GroupIndex::Build(table, grouping_columns,
+                                 options.WithScope(census_span.scope()));
+  if (!index.ok()) return index.status();
+  census_span.Stop();
+  return BuildSample(table, grouping_columns, strategy, sample_size, rng,
+                     *index, options);
+}
+
+Result<StratifiedSample> BuildSample(
+    const Table& table, const std::vector<size_t>& grouping_columns,
+    AllocationStrategy strategy, double sample_size, Random* rng,
+    const GroupIndex& index, const ExecutorOptions& options) {
+  CONGRESS_RETURN_NOT_OK(
+      ValidateBuildSample(table, grouping_columns, sample_size));
+  CONGRESS_RETURN_NOT_OK(CheckIndexMatches(table, grouping_columns, index));
   CONGRESS_METRIC_INCR_DYN(std::string("sampling.builds.") +
                                AllocationStrategyToString(strategy),
                            1);
-  CONGRESS_SPAN(census_span, options.scope, "census");
-  GroupStatistics stats = GroupStatistics::Compute(
-      table, grouping_columns, options.WithScope(census_span.scope()));
-  census_span.Stop();
+  GroupStatistics stats = GroupStatistics::FromIndex(index);
   if (stats.num_groups() == 0) {
     return Status::FailedPrecondition("table is empty");
   }
@@ -98,7 +152,7 @@ Result<StratifiedSample> BuildSample(
   Allocation allocation = Allocate(strategy, stats, sample_size);
   allocate_span.Stop();
   return BuildStratifiedSample(table, grouping_columns, stats, allocation, rng,
-                               options);
+                               index, options);
 }
 
 }  // namespace congress

@@ -5,6 +5,7 @@
 
 #include "sampling/allocation.h"
 #include "sampling/stratified_sample.h"
+#include "storage/group_index.h"
 #include "storage/table.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -24,6 +25,15 @@ Result<StratifiedSample> BuildStratifiedSample(
     const GroupStatistics& stats, const Allocation& allocation, Random* rng,
     const ExecutorOptions& options = {});
 
+/// As above, reusing `index` — the row→group index of `table` over
+/// `grouping_columns` (GroupIndex::Build or Extend) — instead of
+/// interning the table again, so every sample drawn from one table
+/// shares one index. Draws the same sample.
+Result<StratifiedSample> BuildStratifiedSample(
+    const Table& table, const std::vector<size_t>& grouping_columns,
+    const GroupStatistics& stats, const Allocation& allocation, Random* rng,
+    const GroupIndex& index, const ExecutorOptions& options = {});
+
 /// Convenience wrapper: computes the group census, allocates with
 /// `strategy` for `sample_size` expected tuples, and builds the sample.
 /// Two passes over the data (count, then sample).
@@ -31,6 +41,15 @@ Result<StratifiedSample> BuildSample(const Table& table,
                                      const std::vector<size_t>& grouping_columns,
                                      AllocationStrategy strategy,
                                      double sample_size, Random* rng,
+                                     const ExecutorOptions& options = {});
+
+/// As above, with the census and the sample both read from `index` (see
+/// the indexed BuildStratifiedSample): no pass over the grouping columns.
+Result<StratifiedSample> BuildSample(const Table& table,
+                                     const std::vector<size_t>& grouping_columns,
+                                     AllocationStrategy strategy,
+                                     double sample_size, Random* rng,
+                                     const GroupIndex& index,
                                      const ExecutorOptions& options = {});
 
 }  // namespace congress

@@ -591,18 +591,33 @@ struct CongressMaintainer::Impl {
     return Status::OK();
   }
 
-  Result<StratifiedSample> SnapshotImpl(double extra_thin) {
-    CONGRESS_FAILPOINT("maintenance/snapshot");
-    StratifiedSample sample(schema, grouping_columns);
+  /// Thins every group to its current Eq.-8 probability times
+  /// `extra_thin` and returns the rows retained. Groups are visited in
+  /// map order, which fixes the RNG draws; re-thinning to the same
+  /// probability draws nothing.
+  size_t ThinAll(double extra_thin) {
+    size_t retained = 0;
     for (auto& [key, g] : groups) {
-      double p_now = InclusionProbability(key) * extra_thin;
-      ThinGroup(&g, p_now);
+      ThinGroup(&g, InclusionProbability(key) * extra_thin);
+      retained += g.rows.size();
+    }
+    return retained;
+  }
+
+  /// The retained rows as a sample, one stratum per group in map order.
+  Result<StratifiedSample> Materialize() const {
+    StratifiedSample sample(schema, grouping_columns);
+    sample.Reserve(CurrentSize());
+    for (const auto& [key, g] : groups) {
       CONGRESS_RETURN_NOT_OK(sample.DeclareStratum(key, g.population));
     }
-    for (auto& [key, g] : groups) {
+    size_t stratum = 0;
+    for (const auto& [key, g] : groups) {
       for (const StoredRow& row : g.rows) {
-        CONGRESS_RETURN_NOT_OK(sample.AppendRowValues(row.values));
+        CONGRESS_RETURN_NOT_OK(
+            sample.AppendRowValuesToStratum(row.values, stratum));
       }
+      ++stratum;
     }
     return sample;
   }
@@ -642,18 +657,21 @@ Status CongressMaintainer::InsertWithKey(const std::vector<Value>& row,
 }
 
 Result<StratifiedSample> CongressMaintainer::Snapshot() {
-  return impl_->SnapshotImpl(1.0);
+  CONGRESS_FAILPOINT("maintenance/snapshot");
+  impl_->ThinAll(1.0);
+  return impl_->Materialize();
 }
 
 Result<StratifiedSample> CongressMaintainer::SnapshotScaledTo(uint64_t x) {
   // First thin everything to the current Eq.-8 probabilities to learn the
-  // realized pre-scaling size, then thin uniformly to expected size x.
-  auto full = impl_->SnapshotImpl(1.0);
-  if (!full.ok()) return full.status();
-  size_t realized = full->num_rows();
-  if (realized <= x) return full;
-  double ratio = static_cast<double>(x) / static_cast<double>(realized);
-  return impl_->SnapshotImpl(ratio);
+  // realized pre-scaling size, then thin uniformly to expected size x,
+  // and materialize once.
+  CONGRESS_FAILPOINT("maintenance/snapshot");
+  const size_t realized = impl_->ThinAll(1.0);
+  if (realized > x) {
+    impl_->ThinAll(static_cast<double>(x) / static_cast<double>(realized));
+  }
+  return impl_->Materialize();
 }
 
 uint64_t CongressMaintainer::tuples_seen() const { return impl_->seen; }

@@ -1,5 +1,6 @@
 #include "sampling/stratified_sample.h"
 
+#include <cassert>
 #include <sstream>
 
 namespace congress {
@@ -57,6 +58,34 @@ Status StratifiedSample::AppendRowValues(const std::vector<Value>& row) {
   row_strata_.push_back(static_cast<uint32_t>(it->second));
   strata_[it->second].sample_count += 1;
   return Status::OK();
+}
+
+Status StratifiedSample::AppendToStratum(const Table& base, size_t base_row,
+                                         size_t stratum) {
+  if (stratum >= strata_.size()) {
+    return Status::InvalidArgument("stratum index out of range");
+  }
+  assert(base.KeyForRow(base_row, grouping_columns_) == strata_[stratum].key);
+  rows_.AppendRowFrom(base, base_row);
+  row_strata_.push_back(static_cast<uint32_t>(stratum));
+  strata_[stratum].sample_count += 1;
+  return Status::OK();
+}
+
+Status StratifiedSample::AppendRowValuesToStratum(
+    const std::vector<Value>& row, size_t stratum) {
+  if (stratum >= strata_.size()) {
+    return Status::InvalidArgument("stratum index out of range");
+  }
+  CONGRESS_RETURN_NOT_OK(rows_.AppendRow(row));
+  row_strata_.push_back(static_cast<uint32_t>(stratum));
+  strata_[stratum].sample_count += 1;
+  return Status::OK();
+}
+
+void StratifiedSample::Reserve(size_t rows) {
+  rows_.Reserve(rows);
+  row_strata_.reserve(rows);
 }
 
 Result<size_t> StratifiedSample::StratumIndex(const GroupKey& key) const {

@@ -64,6 +64,17 @@ class StratifiedSample {
   /// copies of tuples). The stratum is derived from the row values.
   Status AppendRowValues(const std::vector<Value>& row);
 
+  /// Append() and AppendRowValues() for a caller that already knows the
+  /// row's stratum index (the builders and maintainers, which append
+  /// stratum by stratum): the row is not re-keyed. Its grouping values
+  /// must equal strata()[stratum].key (asserted in debug builds).
+  Status AppendToStratum(const Table& base, size_t base_row, size_t stratum);
+  Status AppendRowValuesToStratum(const std::vector<Value>& row,
+                                  size_t stratum);
+
+  /// Pre-sizes the row store for `rows` sampled tuples.
+  void Reserve(size_t rows);
+
   const Schema& base_schema() const { return rows_.schema(); }
   const std::vector<size_t>& grouping_columns() const {
     return grouping_columns_;

@@ -1,5 +1,6 @@
 #include "storage/group_index.h"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 #include <string>
@@ -102,12 +103,15 @@ struct LocalDict {
 /// the composite-key path and the single-int64 fast path share the same
 /// deterministic structure. `hash_of(row)` must be a pure function of the
 /// row's key and `rows_eq(a, b)` the matching equality; ids come out in
-/// first-occurrence row order regardless of either.
+/// first-occurrence row order regardless of either. `reps` (global id ->
+/// representative row) and `counts` arrive holding the groups of the
+/// rows before `ranges`, which keep their ids; groups first seen in
+/// `ranges` are appended to both.
 template <typename HashFn, typename EqFn>
-std::vector<uint32_t> InternRows(
-    const std::vector<std::pair<size_t, size_t>>& ranges,
-    const ExecutorOptions& options, const HashFn& hash_of, const EqFn& rows_eq,
-    uint32_t* row_ids, std::vector<uint64_t>* counts) {
+void InternRows(const std::vector<std::pair<size_t, size_t>>& ranges,
+                const ExecutorOptions& options, const HashFn& hash_of,
+                const EqFn& rows_eq, uint32_t* row_ids,
+                std::vector<uint64_t>* counts, std::vector<uint32_t>* reps) {
   // Phase 1 (parallel): intern each morsel against a local flat table,
   // writing morsel-local ids into the (disjoint) row id slots. The table
   // stores (hash, id) only; representative rows live in the LocalDict.
@@ -132,12 +136,15 @@ std::vector<uint32_t> InternRows(
   intern_span.Stop();
 
   // Phase 2 (serial, morsel order): merge local dictionaries into global
-  // ids. Global ids land in first-occurrence row order — identical to a
-  // serial one-pass intern, whatever the thread count. Rep hashes are
-  // recomputed here (one per distinct key per morsel, not per row).
+  // ids, seeded with the resident groups. Global ids land in
+  // first-occurrence row order — identical to a serial one-pass intern,
+  // whatever the thread count. Rep hashes are recomputed here (one per
+  // distinct key per morsel, not per row).
   CONGRESS_SPAN(merge_span, options.scope, "merge");
-  std::vector<uint32_t> reps;  // global id -> representative row.
-  FlatIdTable global;
+  FlatIdTable global(reps->size());
+  for (uint32_t g = 0; g < reps->size(); ++g) {
+    global.Emplace(hash_of((*reps)[g]), g, [](uint32_t) { return false; });
+  }
   std::vector<std::vector<uint32_t>> remaps(ranges.size());
   for (size_t m = 0; m < ranges.size(); ++m) {
     const LocalDict& local = locals[m];
@@ -146,10 +153,10 @@ std::vector<uint32_t> InternRows(
     for (size_t l = 0; l < local.reps.size(); ++l) {
       const uint32_t rep = local.reps[l];
       auto [gid, inserted] = global.Emplace(
-          hash_of(rep), static_cast<uint32_t>(reps.size()),
-          [&](uint32_t cand) { return rows_eq(reps[cand], rep); });
+          hash_of(rep), static_cast<uint32_t>(reps->size()),
+          [&](uint32_t cand) { return rows_eq((*reps)[cand], rep); });
       if (inserted) {
-        reps.push_back(rep);
+        reps->push_back(rep);
         counts->push_back(0);
       }
       remap[l] = gid;
@@ -168,7 +175,6 @@ std::vector<uint32_t> InternRows(
     }
   });
   remap_span.Stop();
-  return reps;
 }
 
 }  // namespace
@@ -182,101 +188,134 @@ Result<GroupIndex> GroupIndex::Build(const Table& table,
                                      " out of range");
     }
   }
+  GroupIndex index;
+  index.group_columns_ = group_columns;
+  CONGRESS_RETURN_NOT_OK(index.InternFrom(table, options));
+  return index;
+}
+
+Result<GroupIndex> GroupIndex::Extend(const GroupIndex& prev,
+                                      const Table& table,
+                                      const ExecutorOptions& options) {
+  if (table.num_rows() < prev.num_rows()) {
+    return Status::InvalidArgument(
+        "table has fewer rows than the index being extended");
+  }
+  for (size_t c : prev.group_columns_) {
+    if (c >= table.num_columns()) {
+      return Status::InvalidArgument("group column " + std::to_string(c) +
+                                     " out of range");
+    }
+  }
+  GroupIndex index;
+  index.row_ids_.reserve(table.num_rows());
+  index.row_ids_.assign(prev.row_ids_.begin(), prev.row_ids_.end());
+  index.group_columns_ = prev.group_columns_;
+  index.keys_ = prev.keys_;
+  index.counts_ = prev.counts_;
+  index.lookup_ = prev.lookup_;
+  index.reps_ = prev.reps_;
+  CONGRESS_METRIC_INCR("group_index.extends", 1);
+  CONGRESS_RETURN_NOT_OK(index.InternFrom(table, options));
+  return index;
+}
+
+Status GroupIndex::InternFrom(const Table& table,
+                              const ExecutorOptions& options) {
+  const size_t begin = row_ids_.size();
   const size_t n = table.num_rows();
   if (n > std::numeric_limits<uint32_t>::max()) {
     return Status::InvalidArgument("table exceeds 2^32 rows");
   }
+  if (n == begin) return Status::OK();
+  row_ids_.resize(n);
+  const size_t first_new_group = keys_.size();
 
-  GroupIndex index;
-  if (n == 0) return index;
-
-  if (group_columns.empty()) {
+  if (group_columns_.empty()) {
     // No-group-by: one group, the empty key.
-    index.row_ids_.assign(n, 0);
-    index.keys_.push_back(GroupKey{});
-    index.counts_.push_back(n);
-    index.lookup_.Emplace(GroupKeyHash{}(GroupKey{}), 0,
-                          [](uint32_t) { return false; });
-    return index;
+    if (keys_.empty()) {
+      keys_.push_back(GroupKey{});
+      counts_.push_back(0);
+      lookup_.Emplace(GroupKeyHash{}(GroupKey{}), 0,
+                      [](uint32_t) { return false; });
+    }
+    std::fill(row_ids_.begin() + begin, row_ids_.end(), 0);
+    counts_[0] += n - begin;
+    return Status::OK();
   }
 
-  const auto ranges = MorselRanges(n, options.morsel_size);
-  index.row_ids_.resize(n);
   CONGRESS_METRIC_INCR("group_index.builds", 1);
-  CONGRESS_METRIC_INCR("group_index.rows_interned", n);
+  CONGRESS_METRIC_INCR("group_index.rows_interned", n - begin);
 
-  if (group_columns.size() == 1 &&
-      table.schema().field(group_columns[0]).type == DataType::kString) {
+  if (group_columns_.size() == 1 &&
+      table.schema().field(group_columns_[0]).type == DataType::kString) {
     // Fastest path: a single string grouping column needs no interning at
     // all. Dictionary codes are dense ids assigned in first-occurrence
-    // row order — exactly the group-id contract — so the build is a copy
-    // of the code column plus a counting pass, and the keys come straight
-    // from the dictionary. Deterministic by construction (no hashing, no
-    // thread-dependent state).
+    // row order — exactly the group-id contract, and stable as rows are
+    // appended — so the build is a copy of the code column plus a
+    // counting pass, and the keys come straight from the dictionary.
+    // Deterministic by construction (no hashing, no thread-dependent
+    // state).
     CONGRESS_METRIC_INCR("group_index.dict_fastpath_builds", 1);
-    const std::vector<int32_t>& codes = table.CodeColumn(group_columns[0]);
-    const StringDictionary& dict = table.Dictionary(group_columns[0]);
-    index.counts_.assign(dict.size(), 0);
-    for (size_t row = 0; row < n; ++row) {
+    const std::vector<int32_t>& codes = table.CodeColumn(group_columns_[0]);
+    const StringDictionary& dict = table.Dictionary(group_columns_[0]);
+    counts_.resize(dict.size(), 0);
+    for (size_t row = begin; row < n; ++row) {
       const uint32_t id = static_cast<uint32_t>(codes[row]);
-      index.row_ids_[row] = id;
-      index.counts_[id] += 1;
+      row_ids_[row] = id;
+      counts_[id] += 1;
     }
-    index.keys_.reserve(dict.size());
-    for (size_t g = 0; g < dict.size(); ++g) {
-      index.keys_.push_back(GroupKey{Value(dict.At(static_cast<int32_t>(g)))});
+    for (size_t g = first_new_group; g < dict.size(); ++g) {
+      keys_.push_back(GroupKey{Value(dict.At(static_cast<int32_t>(g)))});
     }
-    index.lookup_.Reserve(index.keys_.size());
-    for (uint32_t g = 0; g < index.keys_.size(); ++g) {
-      index.lookup_.Emplace(GroupKeyHash{}(index.keys_[g]), g,
-                            [](uint32_t) { return false; });
-    }
-    return index;
-  }
-
-  std::vector<uint32_t> reps;  // global id -> representative row.
-  if (group_columns.size() == 1 &&
-      table.schema().field(group_columns[0]).type == DataType::kInt64) {
-    // Fast path: a single int64 grouping column probes the raw column
-    // directly — no ColumnRef dispatch per row. The hash matches the
-    // composite HashRow for a one-int64 key, so behavior (and every
-    // assigned id) is the same either way.
-    CONGRESS_METRIC_INCR("group_index.fastpath_builds", 1);
-    const std::vector<int64_t>& data = table.Int64Column(group_columns[0]);
-    const auto hash_of = [&data](size_t row) {
-      size_t seed = 1;
-      HashCombine(&seed, std::hash<int64_t>{}(data[row]));
-      return static_cast<uint64_t>(seed);
-    };
-    const auto rows_eq = [&data](size_t a, size_t b) {
-      return data[a] == data[b];
-    };
-    reps = InternRows(ranges, options, hash_of, rows_eq,
-                      index.row_ids_.data(), &index.counts_);
   } else {
-    const std::vector<ColumnRef> refs = ResolveColumns(table, group_columns);
-    const auto hash_of = [&refs](size_t row) {
-      return static_cast<uint64_t>(HashRow(refs, row));
-    };
-    const auto rows_eq = [&refs](size_t a, size_t b) {
-      return RowsEqual(refs, a, b);
-    };
-    reps = InternRows(ranges, options, hash_of, rows_eq,
-                      index.row_ids_.data(), &index.counts_);
+    auto ranges = MorselRanges(n - begin, options.morsel_size);
+    for (auto& [lo, hi] : ranges) {
+      lo += begin;
+      hi += begin;
+    }
+    if (group_columns_.size() == 1 &&
+        table.schema().field(group_columns_[0]).type == DataType::kInt64) {
+      // Fast path: a single int64 grouping column probes the raw column
+      // directly — no ColumnRef dispatch per row. The hash matches the
+      // composite HashRow for a one-int64 key, so behavior (and every
+      // assigned id) is the same either way.
+      CONGRESS_METRIC_INCR("group_index.fastpath_builds", 1);
+      const std::vector<int64_t>& data = table.Int64Column(group_columns_[0]);
+      const auto hash_of = [&data](size_t row) {
+        size_t seed = 1;
+        HashCombine(&seed, std::hash<int64_t>{}(data[row]));
+        return static_cast<uint64_t>(seed);
+      };
+      const auto rows_eq = [&data](size_t a, size_t b) {
+        return data[a] == data[b];
+      };
+      InternRows(ranges, options, hash_of, rows_eq, row_ids_.data(), &counts_,
+                 &reps_);
+    } else {
+      const std::vector<ColumnRef> refs = ResolveColumns(table, group_columns_);
+      const auto hash_of = [&refs](size_t row) {
+        return static_cast<uint64_t>(HashRow(refs, row));
+      };
+      const auto rows_eq = [&refs](size_t a, size_t b) {
+        return RowsEqual(refs, a, b);
+      };
+      InternRows(ranges, options, hash_of, rows_eq, row_ids_.data(), &counts_,
+                 &reps_);
+    }
+    for (size_t g = first_new_group; g < reps_.size(); ++g) {
+      keys_.push_back(table.KeyForRow(reps_[g], group_columns_));
+    }
   }
 
-  index.keys_.reserve(reps.size());
-  for (uint32_t rep : reps) {
-    index.keys_.push_back(table.KeyForRow(rep, group_columns));
-  }
-  index.lookup_.Reserve(index.keys_.size());
-  for (uint32_t g = 0; g < index.keys_.size(); ++g) {
+  lookup_.Reserve(keys_.size());
+  for (size_t g = first_new_group; g < keys_.size(); ++g) {
     // Keys are distinct by construction, so the insert never collides
     // with an equal resident.
-    index.lookup_.Emplace(GroupKeyHash{}(index.keys_[g]), g,
-                          [](uint32_t) { return false; });
+    lookup_.Emplace(GroupKeyHash{}(keys_[g]), static_cast<uint32_t>(g),
+                    [](uint32_t) { return false; });
   }
-  return index;
+  return Status::OK();
 }
 
 Result<uint32_t> GroupIndex::IdOf(const GroupKey& key) const {

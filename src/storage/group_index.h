@@ -39,6 +39,18 @@ class GroupIndex {
                                   const std::vector<size_t>& group_columns,
                                   const ExecutorOptions& options = {});
 
+  /// Extends `prev` to all of `table` by interning only the rows
+  /// appended since, [prev.num_rows(), table.num_rows()). `table` must be
+  /// the table `prev` was built (or extended) over with rows appended:
+  /// old rows keep their ids because ids are first-occurrence, so the
+  /// result equals Build(table, prev's columns) — keys, row ids, counts
+  /// and lookups. Costs O(#groups + appended rows) plus a copy of
+  /// prev's row ids.
+  static Result<GroupIndex> Extend(const GroupIndex& prev, const Table& table,
+                                   const ExecutorOptions& options = {});
+
+  /// The grouping columns the index was built over.
+  const std::vector<size_t>& group_columns() const { return group_columns_; }
   size_t num_rows() const { return row_ids_.size(); }
   size_t num_groups() const { return keys_.size(); }
   uint64_t total_rows() const { return row_ids_.size(); }
@@ -67,11 +79,20 @@ class GroupIndex {
   RowLists GroupRows() const;
 
  private:
+  /// Interns rows [num_rows(), table.num_rows()) of `table` into this
+  /// index, which already holds the rows before them.
+  Status InternFrom(const Table& table, const ExecutorOptions& options);
+
+  std::vector<size_t> group_columns_;
   std::vector<GroupKey> keys_;
   std::vector<uint32_t> row_ids_;
   std::vector<uint64_t> counts_;
   /// Key lookup for IdOf: GroupKeyHash-hashed probe against keys_.
   FlatIdTable lookup_;
+  /// Group id -> first row holding it, so Extend can probe appended rows
+  /// against resident groups column-wise. Empty on the paths that never
+  /// hash rows (no grouping columns, single string column).
+  std::vector<uint32_t> reps_;
 };
 
 /// Splits groups [0, num_groups) into contiguous chunks of roughly

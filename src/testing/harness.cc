@@ -127,7 +127,8 @@ std::vector<PropConfig> BuildDefaultConfigs() {
     c.name = "concurrent";
     c.description =
         "reader threads vs a publishing writer on one engine: every answer "
-        "bit-identical to a published snapshot, epochs monotonic";
+        "bit-identical to a published snapshot, epochs monotonic; every "
+        "publish equals a from-scratch build of its table";
     c.spec.num_rows = 2000;
     c.spec.num_grouping_columns = 2;
     c.spec.values_per_column = 3;
@@ -142,7 +143,8 @@ std::vector<PropConfig> BuildDefaultConfigs() {
         "sharded streaming ingest: deterministic mode bit-identical to the "
         "serial maintainer at 1/4/8 shards, concurrent producers tear "
         "nothing, free-running merges stay valid, engine publishes are "
-        "shard-count invariant with monotonic epochs";
+        "shard-count invariant with monotonic epochs and equal a "
+        "from-scratch build of their table";
     c.spec.num_rows = 2000;
     c.spec.num_grouping_columns = 2;
     c.spec.values_per_column = 3;
@@ -256,6 +258,9 @@ Status RunOracles(const PropConfig& config, uint64_t seed,
           table, data->grouping_columns, strategy, static_cast<uint64_t>(x),
           seed);
       if (!st.ok()) return fail("concurrent-snapshot-consistency", name, st);
+      st = CheckPublishIdentity(table, data->grouping_columns, strategy,
+                                static_cast<uint64_t>(x), seed);
+      if (!st.ok()) return fail("publish-identity", name, st);
     }
     return Status::OK();
   }
@@ -267,6 +272,9 @@ Status RunOracles(const PropConfig& config, uint64_t seed,
           table, data->grouping_columns, strategy, static_cast<uint64_t>(x),
           seed);
       if (!st.ok()) return fail("sharded-ingest-consistency", name, st);
+      st = CheckPublishIdentity(table, data->grouping_columns, strategy,
+                                static_cast<uint64_t>(x), seed);
+      if (!st.ok()) return fail("publish-identity", name, st);
     }
     return Status::OK();
   }

@@ -36,14 +36,16 @@ struct PropConfig {
   bool crash_recovery = false;
 
   /// Run the concurrent snapshot-consistency oracle (reader threads vs a
-  /// publishing writer on one AquaEngine) instead of the query oracles.
+  /// publishing writer on one AquaEngine) and the publish-identity oracle
+  /// instead of the query oracles.
   /// All four allocation strategies are exercised; run it under TSan to
   /// prove the catalog's reader path race-free.
   bool concurrent = false;
 
   /// Run the sharded-ingest oracle (deterministic shard-count bit
   /// invariance, concurrent-producer tear checks, free-running sample
-  /// validity, engine publish invariance) instead of the query oracles.
+  /// validity, engine publish invariance) and the publish-identity oracle
+  /// instead of the query oracles.
   /// All four allocation strategies are exercised; run it under TSan to
   /// prove the chunk-queue claim/publish/reclaim protocol race-free.
   bool sharded_ingest = false;

@@ -33,6 +33,7 @@
 #include "sampling/moments.h"
 #include "sampling/shard.h"
 #include "sql/parser.h"
+#include "storage/group_index.h"
 #include "util/random.h"
 
 namespace congress::testing {
@@ -1507,6 +1508,230 @@ Status CheckShardedIngestConsistency(const Table& table,
   return CheckSamplesIdentical((*one_shard)->sample(),
                                (*eight_shards)->sample(), name + " engine x1",
                                "engine x8");
+}
+
+namespace {
+
+Status CheckMomentsIdentical(const StratifiedSample& sample,
+                             const SampleMoments& a, const SampleMoments& b,
+                             const std::string& label) {
+  auto mismatch = [&](const std::string& what) {
+    return Status::Internal(label + ": moments disagree: " + what);
+  };
+  if (a.numeric_columns() != b.numeric_columns() ||
+      a.num_strata() != b.num_strata()) {
+    return mismatch("shape");
+  }
+  for (size_t column : a.numeric_columns()) {
+    if (!SameBits(a.TotalSumSq(column), b.TotalSumSq(column))) {
+      return mismatch("total sum of squares, column " +
+                      std::to_string(column));
+    }
+  }
+  for (size_t s = 0; s < a.num_strata(); ++s) {
+    if (a.rows(s) != b.rows(s) || a.first_row(s) != b.first_row(s)) {
+      return mismatch("stratum " + std::to_string(s) + " rows");
+    }
+    for (size_t slot = 0; slot <= a.numeric_columns().size(); ++slot) {
+      const size_t which =
+          slot == a.numeric_columns().size() ? SampleMoments::kCountSlot
+                                             : slot;
+      const StratumTerms x = a.TermsOf(sample.strata()[s], s, which);
+      const StratumTerms y = b.TermsOf(sample.strata()[s], s, which);
+      if (!SameBits(x.est_sum, y.est_sum) || !SameBits(x.est_cnt, y.est_cnt) ||
+          !SameBits(x.var_sum, y.var_sum) || !SameBits(x.var_cnt, y.var_cnt) ||
+          !SameBits(x.cov, y.cov) || !SameBits(x.hoeff_c2, y.hoeff_c2) ||
+          x.support != y.support) {
+        return mismatch("stratum " + std::to_string(s) + " slot " +
+                        std::to_string(slot) + " terms");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+Status CheckIndexIdentical(const GroupIndex& published,
+                           const GroupIndex& rebuilt,
+                           const std::string& label) {
+  auto mismatch = [&](const std::string& what) {
+    return Status::Internal(label + ": base index disagrees with rebuild: " +
+                            what);
+  };
+  if (published.num_groups() != rebuilt.num_groups()) {
+    return mismatch(std::to_string(published.num_groups()) + " vs " +
+                    std::to_string(rebuilt.num_groups()) + " groups");
+  }
+  for (size_t g = 0; g < rebuilt.num_groups(); ++g) {
+    if (!SameKeyBits(published.keys()[g], rebuilt.keys()[g])) {
+      return mismatch("key of group " + std::to_string(g));
+    }
+    auto id = published.IdOf(rebuilt.keys()[g]);
+    if (!id.ok() || *id != g) {
+      return mismatch("IdOf " + GroupKeyToString(rebuilt.keys()[g]));
+    }
+  }
+  if (published.row_ids() != rebuilt.row_ids()) return mismatch("row ids");
+  if (published.counts() != rebuilt.counts()) return mismatch("counts");
+  return Status::OK();
+}
+
+Status CheckSynopsisIdentical(const AquaSynopsis& published,
+                              const AquaSynopsis& rebuilt,
+                              const std::string& label) {
+  CONGRESS_RETURN_NOT_OK(CheckSamplesIdentical(
+      published.sample(), rebuilt.sample(), label + " published", "rebuilt"));
+  return CheckMomentsIdentical(published.sample(), published.moments(),
+                               rebuilt.moments(), label);
+}
+
+/// One published snapshot against from-scratch builds of its table.
+Status CheckSnapshotAgainstRebuild(const AquaSnapshot& snapshot,
+                                   const std::vector<size_t>& grouping,
+                                   const SynopsisConfig& config,
+                                   const std::string& label) {
+  const Table& table = *snapshot.table;
+  if (snapshot.base_group_index == nullptr) {
+    return Status::Internal(label + ": snapshot has no base index");
+  }
+  auto index = GroupIndex::Build(table, grouping, config.execution);
+  CONGRESS_RETURN_NOT_OK(index.status());
+  CONGRESS_RETURN_NOT_OK(
+      CheckIndexIdentical(*snapshot.base_group_index, *index, label));
+
+  if (!config.incremental) {
+    auto primary = AquaSynopsis::Build(table, config);
+    CONGRESS_RETURN_NOT_OK(primary.status());
+    CONGRESS_RETURN_NOT_OK(CheckSynopsisIdentical(
+        *snapshot.synopsis, *primary, label + " primary"));
+  }
+
+  struct Fallback {
+    AllocationStrategy strategy;
+    const std::shared_ptr<const AquaSynopsis>* slot;
+    const Status* status;
+  };
+  const Fallback fallbacks[] = {
+      {AllocationStrategy::kBasicCongress, &snapshot.fallback_basic,
+       &snapshot.fallback_basic_status},
+      {AllocationStrategy::kHouse, &snapshot.fallback_house,
+       &snapshot.fallback_house_status}};
+  for (const Fallback& fallback : fallbacks) {
+    const std::string name =
+        label + " fallback " + AllocationStrategyToString(fallback.strategy);
+    SynopsisConfig fallback_config = snapshot.synopsis->config();
+    fallback_config.strategy = fallback.strategy;
+    fallback_config.incremental = false;
+    auto rebuilt = AquaSynopsis::Build(table, fallback_config);
+    if (!rebuilt.ok() || *fallback.slot == nullptr) {
+      if (rebuilt.ok() != (*fallback.slot != nullptr) ||
+          rebuilt.status().ToString() != fallback.status->ToString()) {
+        return Status::Internal(name + ": published status " +
+                                fallback.status->ToString() +
+                                " vs rebuild " + rebuilt.status().ToString());
+      }
+      continue;
+    }
+    CONGRESS_RETURN_NOT_OK(
+        CheckSynopsisIdentical(**fallback.slot, *rebuilt, name));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status CheckPublishIdentity(const Table& table,
+                            const std::vector<size_t>& grouping,
+                            AllocationStrategy strategy, uint64_t sample_size,
+                            uint64_t seed) {
+  const size_t n = table.num_rows();
+  if (n == 0 || grouping.empty()) return Status::OK();
+  auto row_at = [&table](size_t r) {
+    std::vector<Value> row;
+    row.reserve(table.num_columns());
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      row.push_back(table.GetValue(r, c));
+    }
+    return row;
+  };
+
+  // Register the first half minus the last row's group; every other row
+  // arrives as inserts, so the first delta interns at least one new group.
+  const GroupKey held_back = table.KeyForRow(n - 1, grouping);
+  Table registered(table.schema());
+  std::vector<std::vector<Value>> inserted;
+  for (size_t r = 0; r < n; ++r) {
+    if (r < n / 2 && table.KeyForRow(r, grouping) != held_back) {
+      registered.AppendRowFrom(table, r);
+    } else {
+      inserted.push_back(row_at(r));
+    }
+  }
+  if (registered.num_rows() == 0) return Status::OK();
+
+  std::vector<std::vector<size_t>> groupings = {grouping};
+  if (grouping.size() > 1) groupings.push_back({grouping[0]});
+  for (const std::vector<size_t>& columns : groupings) {
+    for (size_t threads : {1, 4, 8}) {
+      SynopsisConfig config;
+      config.strategy = strategy;
+      config.sample_size = sample_size;
+      config.seed = seed;
+      config.ingest_shards = 2;
+      config.execution.num_threads = threads;
+      for (size_t c : columns) {
+        config.grouping_columns.push_back(table.schema().field(c).name);
+      }
+      const std::string label =
+          std::string(AllocationStrategyToString(strategy)) + " " +
+          std::to_string(columns.size()) + " grouping column(s), " +
+          std::to_string(threads) + " threads";
+
+      // A non-incremental registration: one publish, primary included.
+      {
+        SynopsisConfig frozen = config;
+        frozen.incremental = false;
+        AquaEngine engine;
+        CONGRESS_RETURN_NOT_OK(engine.RegisterTable("t", table, frozen));
+        auto snapshot = engine.GetSnapshot("t");
+        CONGRESS_RETURN_NOT_OK(snapshot.status());
+        CONGRESS_RETURN_NOT_OK(CheckSnapshotAgainstRebuild(
+            **snapshot, columns, frozen, label + " non-incremental"));
+      }
+
+      config.incremental = true;
+      AquaEngine engine;
+      CONGRESS_RETURN_NOT_OK(engine.RegisterTable("t", registered, config));
+      constexpr size_t kRounds = 3;
+      const size_t per_round = (inserted.size() + kRounds - 1) / kRounds;
+      size_t next = 0;
+      // kRounds rounds with rows, then one with none: an empty delta.
+      for (size_t round = 0; round <= kRounds + 1; ++round) {
+        if (round > 0) {
+          const size_t end = std::min(inserted.size(), next + per_round);
+          if (round <= kRounds && end > next) {
+            CONGRESS_RETURN_NOT_OK(engine.InsertBatch(
+                "t", std::vector<std::vector<Value>>(
+                         inserted.begin() + static_cast<ptrdiff_t>(next),
+                         inserted.begin() + static_cast<ptrdiff_t>(end))));
+            next = end;
+          }
+          CONGRESS_RETURN_NOT_OK(engine.Refresh("t"));
+        }
+        auto snapshot = engine.GetSnapshot("t");
+        CONGRESS_RETURN_NOT_OK(snapshot.status());
+        CONGRESS_RETURN_NOT_OK(CheckSnapshotAgainstRebuild(
+            **snapshot, columns, config,
+            label + " publish " + std::to_string(round)));
+      }
+      if ((*engine.GetTable("t"))->num_rows() != n) {
+        return Status::Internal(label + ": final snapshot holds " +
+                                std::to_string(
+                                    (*engine.GetTable("t"))->num_rows()) +
+                                " of " + std::to_string(n) + " rows");
+      }
+    }
+  }
+  return Status::OK();
 }
 
 Status CheckPlannerIdentity(const Table& table,

@@ -151,6 +151,24 @@ Status CheckShardedIngestConsistency(const Table& table,
                                      AllocationStrategy strategy,
                                      uint64_t sample_size, uint64_t seed);
 
+/// Publish identity (DESIGN.md §14): a Refresh that extends the last
+/// base index and draws the fallbacks from it publishes exactly what a
+/// from-scratch build of the snapshot table would. An engine registers
+/// part of `table` (holding back one group so the first delta brings a
+/// new one) and publishes the rest over several insert + Refresh rounds,
+/// the last with no new rows. Every published snapshot must satisfy:
+/// base_group_index equals GroupIndex::Build on the snapshot table (keys,
+/// row ids, counts, IdOf of every key), and each fallback equals
+/// AquaSynopsis::Build of the snapshot table under its config bitwise
+/// (sample rows, strata, populations, moments). Checked at 1, 4 and 8
+/// threads, over the full grouping and its first column alone (the
+/// single-int64 path), and for a non-incremental registration, whose
+/// primary must equal its from-scratch build too.
+Status CheckPublishIdentity(const Table& table,
+                            const std::vector<size_t>& grouping,
+                            AllocationStrategy strategy, uint64_t sample_size,
+                            uint64_t seed);
+
 /// Network chaos oracle for the framed TCP front-end (DESIGN.md §17).
 /// Builds a live loopback stack (engine → AquaServer → TcpFrontEnd) and
 /// hammers it from several retrying AquaClients while seeded-probability

@@ -1,8 +1,14 @@
 #include "core/synopsis.h"
 
+#include <atomic>
+#include <memory>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "engine/executor.h"
+#include "storage/group_index.h"
 
 namespace congress {
 namespace {
@@ -96,6 +102,85 @@ TEST(AquaSynopsisTest, AnswerViaEachStrategy) {
   }
 }
 
+TEST(AquaSynopsisTest, ConcurrentAnswerViaSharesOneLazyRewriter) {
+  // The rewrite materializations are built on first use. Four threads
+  // race that first use on one frozen, shared synopsis: each must get
+  // the same rewriter and the answers a serial synopsis gives.
+  Table base = MakeBase();
+  auto built = AquaSynopsis::Build(base, BaseConfig());
+  ASSERT_TRUE(built.ok());
+  auto shared = std::make_shared<const AquaSynopsis>(std::move(built).value());
+  auto serial = AquaSynopsis::Build(base, BaseConfig());
+  ASSERT_TRUE(serial.ok());
+  const GroupByQuery q = SumQuery();
+  const RewriteStrategy strategies[] = {
+      RewriteStrategy::kIntegrated, RewriteStrategy::kNestedIntegrated,
+      RewriteStrategy::kNormalized, RewriteStrategy::kKeyNormalized};
+
+  constexpr size_t kThreads = 4;
+  std::atomic<bool> go{false};
+  std::vector<const Rewriter*> seen(kThreads, nullptr);
+  std::vector<std::vector<Result<QueryResult>>> answers(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      for (size_t i = 0; i < 4; ++i) {
+        answers[t].push_back(
+            shared->AnswerVia(q, strategies[(t + i) % 4]));
+      }
+      seen[t] = &shared->rewriter();
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& thread : threads) thread.join();
+
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], seen[0]);
+    for (size_t i = 0; i < 4; ++i) {
+      ASSERT_TRUE(answers[t][i].ok());
+      auto expected = serial->AnswerVia(q, strategies[(t + i) % 4]);
+      ASSERT_TRUE(expected.ok());
+      ASSERT_EQ(answers[t][i]->rows().size(), expected->rows().size());
+      for (const GroupResult& row : expected->rows()) {
+        const GroupResult* got = answers[t][i]->Find(row.key);
+        ASSERT_NE(got, nullptr);
+        EXPECT_EQ(got->aggregates, row.aggregates);
+      }
+    }
+  }
+}
+
+TEST(AquaSynopsisTest, BuildFromGroupIndexDrawsTheSameSample) {
+  Table base = MakeBase();
+  for (AllocationStrategy strategy :
+       {AllocationStrategy::kHouse, AllocationStrategy::kSenate,
+        AllocationStrategy::kBasicCongress, AllocationStrategy::kCongress}) {
+    SynopsisConfig config = BaseConfig();
+    config.strategy = strategy;
+    auto index = GroupIndex::Build(base, {0, 1});
+    ASSERT_TRUE(index.ok());
+    auto with_index = AquaSynopsis::Build(base, config, *index);
+    auto without = AquaSynopsis::Build(base, config);
+    ASSERT_TRUE(with_index.ok());
+    ASSERT_TRUE(without.ok());
+    const StratifiedSample& a = with_index->sample();
+    const StratifiedSample& b = without->sample();
+    ASSERT_EQ(a.num_rows(), b.num_rows());
+    EXPECT_EQ(a.row_strata(), b.row_strata());
+    for (size_t r = 0; r < a.num_rows(); ++r) {
+      for (size_t c = 0; c < a.rows().num_columns(); ++c) {
+        EXPECT_EQ(a.rows().GetValue(r, c), b.rows().GetValue(r, c));
+      }
+    }
+  }
+  // An index over other columns, or another table, is refused.
+  auto wrong = GroupIndex::Build(base, {0});
+  ASSERT_TRUE(wrong.ok());
+  EXPECT_FALSE(AquaSynopsis::Build(base, BaseConfig(), *wrong).ok());
+}
+
 TEST(AquaSynopsisTest, BuildValidation) {
   Table base = MakeBase();
   SynopsisConfig config = BaseConfig();
@@ -134,6 +219,9 @@ TEST(AquaSynopsisTest, IncrementalInsertAndRefresh) {
   ASSERT_TRUE(synopsis.ok());
   uint64_t population_before = synopsis->sample().total_population();
   EXPECT_EQ(population_before, 1000u);
+  auto before = synopsis->AnswerVia(SumQuery(), RewriteStrategy::kIntegrated);
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(before->Find({Value("north")}), nullptr);
 
   // Insert a brand-new group and refresh.
   for (int i = 0; i < 50; ++i) {
@@ -148,10 +236,14 @@ TEST(AquaSynopsisTest, IncrementalInsertAndRefresh) {
   ASSERT_TRUE(idx.ok());
   EXPECT_GT(synopsis->sample().strata()[*idx].sample_count, 0u);
 
-  // Queries see the new group after refresh.
+  // Queries see the new group after refresh, through the rewriter too
+  // (built lazily for the refreshed sample, not the registered one).
   auto answer = synopsis->Answer(SumQuery());
   ASSERT_TRUE(answer.ok());
   EXPECT_NE(answer->Find({Value("north")}), nullptr);
+  auto via = synopsis->AnswerVia(SumQuery(), RewriteStrategy::kIntegrated);
+  ASSERT_TRUE(via.ok());
+  EXPECT_NE(via->Find({Value("north")}), nullptr);
 }
 
 TEST(AquaSynopsisTest, IncrementalCongressStrategy) {

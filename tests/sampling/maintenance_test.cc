@@ -1,9 +1,12 @@
 #include "sampling/maintenance.h"
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include <gtest/gtest.h>
+
+#include "util/random.h"
 
 namespace congress {
 namespace {
@@ -191,6 +194,86 @@ TEST(CongressMaintainerTest, ScaledSnapshotRespectsBudget) {
   auto snap = m.SnapshotScaledTo(80);
   ASSERT_TRUE(snap.ok());
   EXPECT_LE(snap->num_rows(), 80u + 25u);  // Expected-size thinning jitter.
+}
+
+/// FNV-1a over a sample's strata (keys, populations, sample counts) and
+/// rows (stratum, every value's bits), in stored order.
+uint64_t SampleDigest(const StratifiedSample& sample) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  auto mix_value = [&mix](const Value& v) {
+    switch (v.type()) {
+      case DataType::kInt64:
+        mix(static_cast<uint64_t>(v.AsInt64()));
+        break;
+      case DataType::kDouble: {
+        uint64_t bits;
+        const double d = v.AsDouble();
+        std::memcpy(&bits, &d, sizeof(bits));
+        mix(bits);
+        break;
+      }
+      case DataType::kString:
+        mix(v.AsString().size());
+        for (char c : v.AsString()) mix(static_cast<unsigned char>(c));
+        break;
+    }
+  };
+  mix(sample.strata().size());
+  for (const Stratum& s : sample.strata()) {
+    for (const Value& v : s.key) mix_value(v);
+    mix(s.population);
+    mix(s.sample_count);
+  }
+  mix(sample.num_rows());
+  for (size_t r = 0; r < sample.num_rows(); ++r) {
+    mix(sample.row_strata()[r]);
+    for (size_t c = 0; c < sample.rows().num_columns(); ++c) {
+      mix_value(sample.rows().GetValue(r, c));
+    }
+  }
+  return h;
+}
+
+TEST(CongressMaintainerTest, ScaledSnapshotGoldenDigest) {
+  // Pins SnapshotScaledTo's output — strata order, populations, which
+  // rows survive the Eq.-8 and scale-down thinning, and their order —
+  // at a fixed seed, so a change to how the snapshot is thinned or
+  // materialized cannot silently change the published sample. The
+  // digests were recorded from the implementation that materialized the
+  // thinned sample twice.
+  CongressMaintainer m(
+      Schema({Field{"s", DataType::kString}, Field{"a", DataType::kInt64},
+              Field{"v", DataType::kDouble}}),
+      {0, 1}, 300, 77);
+  const char* names[] = {"x", "y", "z"};
+  Random data(5);
+  auto feed = [&](int rows) {
+    for (int i = 0; i < rows; ++i) {
+      // Skewed groups: "x" dominates, a few (name, a) pairs stay small.
+      const uint64_t u = data.UniformInt(100);
+      const char* name = names[u < 70 ? 0 : (u < 90 ? 1 : 2)];
+      const int64_t a = static_cast<int64_t>(data.UniformInt(u < 70 ? 6 : 3));
+      ASSERT_TRUE(
+          m.Insert({Value(name), Value(a), Value(data.NextDouble())}).ok());
+    }
+  };
+  feed(4000);
+  auto mid = m.SnapshotScaledTo(300);  // Realized above 300: thins.
+  ASSERT_TRUE(mid.ok());
+  feed(4000);
+  auto loose = m.SnapshotScaledTo(100000);  // Realized below: no scale-down.
+  ASSERT_TRUE(loose.ok());
+  auto last = m.SnapshotScaledTo(200);
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(SampleDigest(*mid), 0x0aed8ae406fcbe9dull) << mid->num_rows();
+  EXPECT_EQ(SampleDigest(*loose), 0xa43b966327e4dcf9ull) << loose->num_rows();
+  EXPECT_EQ(SampleDigest(*last), 0x76f423c01d2201dcull) << last->num_rows();
 }
 
 TEST(CongressMaintainerTest, ExpectedSizesTrackEq8) {

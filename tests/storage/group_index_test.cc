@@ -167,6 +167,136 @@ TEST(GroupIndexTest, NegativeZeroFoldsIntoPositiveZeroGroup) {
   EXPECT_EQ(index->row_ids()[0], index->row_ids()[1]);
 }
 
+/// Extend must reproduce Build exactly: same keys, row ids and counts,
+/// and an IdOf that finds every key (and nothing else).
+void ExpectSameIndex(const GroupIndex& extended, const GroupIndex& built) {
+  EXPECT_EQ(extended.keys(), built.keys());
+  EXPECT_EQ(extended.row_ids(), built.row_ids());
+  EXPECT_EQ(extended.counts(), built.counts());
+  EXPECT_EQ(extended.group_columns(), built.group_columns());
+  for (size_t g = 0; g < built.num_groups(); ++g) {
+    auto id = extended.IdOf(built.keys()[g]);
+    ASSERT_TRUE(id.ok()) << GroupKeyToString(built.keys()[g]);
+    EXPECT_EQ(*id, static_cast<uint32_t>(g));
+  }
+}
+
+/// Appends `rows` rows of (string g1 from `names`, int64 g2, double v),
+/// with g2 drawn from [0, `g2_values`).
+void AppendMixedRows(Table* t, Random* rng, size_t rows,
+                     const std::vector<std::string>& names,
+                     uint64_t g2_values) {
+  for (size_t i = 0; i < rows; ++i) {
+    ASSERT_TRUE(
+        t->AppendRow({Value(names[rng->UniformInt(names.size())]),
+                      Value(static_cast<int64_t>(rng->UniformInt(g2_values))),
+                      Value(rng->NextDouble())})
+            .ok());
+  }
+}
+
+TEST(GroupIndexTest, ExtendMatchesBuildOnEveryPath) {
+  // Deltas that bring new groups and new dictionary strings, over the
+  // composite path ({0, 1}), the single-int64 fast path ({1}), the
+  // single-string dictionary path ({0}) and the no-group-by path ({}),
+  // at 1 and 4 threads with morsels small enough to split the deltas.
+  for (size_t threads : {1u, 4u}) {
+    ExecutorOptions options;
+    options.num_threads = threads;
+    options.morsel_size = 256;
+    for (const std::vector<size_t>& columns :
+         std::vector<std::vector<size_t>>{{0, 1}, {1}, {0}, {}}) {
+      Table t = MakeTable();
+      auto index = GroupIndex::Build(t, columns, options);
+      ASSERT_TRUE(index.ok());
+      Random rng(3);
+      const std::vector<std::vector<std::string>> deltas = {
+          {"A", "B"},                 // Existing strings, new (g1, g2) pairs.
+          {"A", "C", "D"},            // New dictionary strings.
+          {"B", "E", "F", "G", "H"},  // More new strings, bigger delta.
+      };
+      uint64_t g2_values = 4;
+      for (const auto& names : deltas) {
+        AppendMixedRows(&t, &rng, 1500, names, g2_values);
+        g2_values += 3;  // New int64 keys in every delta.
+        auto extended = GroupIndex::Extend(*index, t, options);
+        ASSERT_TRUE(extended.ok());
+        auto built = GroupIndex::Build(t, columns, options);
+        ASSERT_TRUE(built.ok());
+        SCOPED_TRACE(::testing::Message() << threads << " threads, "
+                                        << columns.size() << " columns");
+        ExpectSameIndex(*extended, *built);
+        index = std::move(extended);
+      }
+      EXPECT_FALSE(index->IdOf({Value("nope"), Value(int64_t{-1})}).ok());
+    }
+  }
+}
+
+TEST(GroupIndexTest, ExtendByEmptyDeltaIsUnchanged) {
+  for (const std::vector<size_t>& columns :
+       std::vector<std::vector<size_t>>{{0, 1}, {1}, {0}, {}}) {
+    Table t = MakeTable();
+    auto index = GroupIndex::Build(t, columns);
+    ASSERT_TRUE(index.ok());
+    auto extended = GroupIndex::Extend(*index, t);
+    ASSERT_TRUE(extended.ok());
+    ExpectSameIndex(*extended, *index);
+  }
+}
+
+TEST(GroupIndexTest, ExtendFromEmptyTableMatchesBuild) {
+  for (const std::vector<size_t>& columns :
+       std::vector<std::vector<size_t>>{{0, 1}, {1}, {0}, {}}) {
+    Table empty = MakeTable().CloneEmpty();
+    auto index = GroupIndex::Build(empty, columns);
+    ASSERT_TRUE(index.ok());
+    EXPECT_EQ(index->num_groups(), 0u);
+    Table t = MakeTable();
+    auto extended = GroupIndex::Extend(*index, t);
+    ASSERT_TRUE(extended.ok());
+    auto built = GroupIndex::Build(t, columns);
+    ASSERT_TRUE(built.ok());
+    ExpectSameIndex(*extended, *built);
+  }
+}
+
+TEST(GroupIndexTest, Int64ExtendMatchesBuildAcrossMorsels) {
+  // The single-int64 fast path with Zipf keys over many morsels: the
+  // delta's morsel-local dictionaries must merge into the resident ids.
+  Table t{Schema({Field{"g", DataType::kInt64}, Field{"v", DataType::kDouble}})};
+  Random rng(13);
+  ZipfDistribution zipf(200, 1.1);
+  auto append = [&](size_t rows, int64_t offset) {
+    for (size_t i = 0; i < rows; ++i) {
+      ASSERT_TRUE(
+          t.AppendRow({Value(static_cast<int64_t>(zipf.Sample(&rng)) + offset),
+                       Value(static_cast<double>(i))})
+              .ok());
+    }
+  };
+  ExecutorOptions options;
+  options.num_threads = 4;
+  options.morsel_size = 512;
+  append(10'000, 0);
+  auto index = GroupIndex::Build(t, {0}, options);
+  ASSERT_TRUE(index.ok());
+  append(5'000, 100);  // Half the delta's keys are new.
+  auto extended = GroupIndex::Extend(*index, t, options);
+  ASSERT_TRUE(extended.ok());
+  auto built = GroupIndex::Build(t, {0}, options);
+  ASSERT_TRUE(built.ok());
+  ExpectSameIndex(*extended, *built);
+  EXPECT_GT(extended->num_groups(), index->num_groups());
+}
+
+TEST(GroupIndexTest, ExtendRejectsShorterTable) {
+  Table t = MakeTable();
+  auto index = GroupIndex::Build(t, {0, 1});
+  ASSERT_TRUE(index.ok());
+  EXPECT_FALSE(GroupIndex::Extend(*index, t.CloneEmpty()).ok());
+}
+
 TEST(GroupIndexTest, BalancedGroupChunksCoverAllGroups) {
   // Offsets for groups of sizes 100, 1, 1, 50, 200, 3.
   std::vector<uint64_t> offsets = {0, 100, 101, 102, 152, 352, 355};
