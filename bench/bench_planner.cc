@@ -1,6 +1,6 @@
 // Accuracy-aware planner overhead and plan-quality frontier
-// (DESIGN.md §16). Not a paper figure — it validates this PR's two
-// claims: (1) scoring the synopsis fleet costs a negligible fraction of
+// (DESIGN.md §16). Not a paper figure — it validates two claims:
+// (1) scoring the candidate plans costs a negligible fraction of
 // answering the query (the moment model never touches the base table),
 // and (2) tightening the error budget walks a frontier from the pure
 // sample through combined exact-outlier plans to the exact endpoint,
@@ -36,7 +36,7 @@ constexpr double kMaxOverheadRatio = 0.05;
 int Run(int argc, char** argv) {
   bench::PrintHeader(
       "Planner overhead + combined-vs-pure-sample accuracy frontier",
-      "fleet scoring is O(#strata) from precomputed moments (<5% of query "
+      "plan scoring is O(#strata) from precomputed moments (<5% of query "
       "time); tighter budgets trade time for accuracy monotonically");
 
   tpcd::LineitemConfig defaults;
@@ -89,7 +89,7 @@ int Run(int argc, char** argv) {
   bench::JsonReport report(argc, argv);
   planner::Planner plan_runner;
 
-  // (1) Plan-selection overhead: score the full fleet under an error
+  // (1) Plan-selection overhead: score every candidate under an error
   // budget vs answering budget-free from the primary synopsis. Both are
   // averaged over `runs` with the first discarded.
   GroupByQuery budgeted = *query;

@@ -70,7 +70,7 @@ void RunQuery(std::string sql_text, const AquaEngine& engine) {
   std::printf("-- rewritten (Nested-Integrated):\n%s\n", rewritten->c_str());
 
   Stopwatch approx_sw;
-  auto planned = engine.QueryPlanned(sql_text);
+  auto planned = engine.QueryResilient(sql_text);
   double approx_ms = approx_sw.ElapsedMillis();
   if (!planned.ok()) {
     std::printf("  error: %s\n", planned.status().ToString().c_str());

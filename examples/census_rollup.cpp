@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -61,7 +62,7 @@ int main() {
               static_cast<double>(biggest) / static_cast<double>(smallest));
 
   // One synopsis per strategy, same 1% space.
-  SynopsisManager manager;
+  std::map<std::string, AquaSynopsis> synopses;
   for (auto [name, strategy] :
        std::initializer_list<std::pair<const char*, AllocationStrategy>>{
            {"uniform (House)", AllocationStrategy::kHouse},
@@ -74,11 +75,12 @@ int main() {
     sconfig.sample_fraction = 0.002;
     sconfig.grouping_columns = {"st", "gen"};
     sconfig.seed = 3;
-    Status st = manager.Register(name, *census, sconfig);
-    if (!st.ok()) {
-      std::printf("register failed: %s\n", st.ToString().c_str());
+    auto built = AquaSynopsis::Build(*census, sconfig);
+    if (!built.ok()) {
+      std::printf("build failed: %s\n", built.status().ToString().c_str());
       return 1;
     }
+    synopses.emplace(name, std::move(built).value());
   }
 
   // The analyst's roll-up / drill-down path: nationwide, per gender, per
@@ -100,9 +102,7 @@ int main() {
   for (const QueryCase& c : cases) {
     std::printf("%-32s", c.label);
     for (const char* name : {"uniform (House)", "Senate", "Congress"}) {
-      auto synopsis = manager.Get(name);
-      if (!synopsis.ok()) continue;
-      std::printf("%18.2f", L1(*census, **synopsis, c.query));
+      std::printf("%18.2f", L1(*census, synopses.at(name), c.query));
     }
     std::printf("\n");
   }
@@ -111,13 +111,11 @@ int main() {
               "competitive everywhere.)\n");
 
   // Show the small-state effect concretely.
-  auto uniform = manager.Get("uniform (House)");
-  auto congress = manager.Get("Congress");
-  if (uniform.ok() && congress.ok()) {
+  {
     GroupByQuery per_state = AvgIncome({tpcd::kState});
     auto exact = ExecuteExact(*census, per_state);
-    auto u = (*uniform)->Answer(per_state);
-    auto c = (*congress)->Answer(per_state);
+    auto u = synopses.at("uniform (House)").Answer(per_state);
+    auto c = synopses.at("Congress").Answer(per_state);
     if (exact.ok() && u.ok() && c.ok()) {
       // Smallest state = highest state id under Zipf rank order.
       GroupKey smallest_state = {Value(int64_t{49})};

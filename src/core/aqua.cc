@@ -1,7 +1,5 @@
 #include "core/aqua.h"
 
-#include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "engine/executor.h"
@@ -40,107 +38,14 @@ void BuildFallback(const Table& table, const GroupIndex* index,
   *slot_status = Status::OK();
 }
 
-/// Builds the optional histogram/wavelet fleet members over the base
-/// table at the synopsis grouping, then measures each one's residual —
-/// the mean over finest groups and measures of |summary - exact| /
-/// max(|exact|, 1) — against one exact reference answer. The residual is
-/// the planner's accuracy score for summaries, which carry no
-/// probabilistic error model. With no member configured it does
-/// nothing: the exact reference is only built for a residual to score.
-void BuildFleet(AquaSnapshot* snapshot, const SynopsisConfig& config) {
-  if (!config.fleet_histogram && !config.fleet_wavelet) return;
-  const std::vector<size_t>& grouping =
-      snapshot->synopsis->grouping_column_indices();
-  const Table& table = *snapshot->table;
-  std::vector<size_t> measures;
-  for (size_t c = 0; c < table.schema().num_fields(); ++c) {
-    if (table.schema().field(c).type == DataType::kString) continue;
-    if (std::find(grouping.begin(), grouping.end(), c) != grouping.end()) {
-      continue;
-    }
-    measures.push_back(c);
-  }
-
-  GroupByQuery reference;
-  reference.group_columns = grouping;
-  for (size_t m : measures) {
-    reference.aggregates.emplace_back(AggregateKind::kSum, m);
-  }
-  reference.aggregates.emplace_back(AggregateKind::kCount, 0);
-  auto exact = ExecuteExact(table, reference, config.execution);
-  if (!exact.ok()) {
-    if (config.fleet_histogram) snapshot->histogram_status = exact.status();
-    if (config.fleet_wavelet) snapshot->wavelet_status = exact.status();
-    return;
-  }
-
-  auto residual_of = [&exact](const QueryResult& approx) {
-    double total = 0.0;
-    size_t cells = 0;
-    for (const GroupResult& row : exact->rows()) {
-      const GroupResult* a = approx.Find(row.key);
-      for (size_t i = 0; i < row.aggregates.size(); ++i) {
-        const double e = row.aggregates[i];
-        const double h = a != nullptr ? a->aggregates[i] : 0.0;
-        total += std::fabs(h - e) / std::max(std::fabs(e), 1.0);
-        ++cells;
-      }
-    }
-    return cells > 0 ? total / static_cast<double>(cells) : 0.0;
-  };
-
-  if (config.fleet_histogram) {
-    GroupHistogram::Options options;
-    options.measure_columns = measures;
-    options.execution = config.execution;
-    auto built = GroupHistogram::Build(table, grouping, options);
-    if (!built.ok()) {
-      snapshot->histogram_status = built.status();
-    } else {
-      auto answer = built->Answer(reference);
-      if (!answer.ok()) {
-        snapshot->histogram_status = answer.status();
-      } else {
-        snapshot->histogram_residual = residual_of(*answer);
-        snapshot->histogram =
-            std::make_shared<const GroupHistogram>(std::move(built).value());
-        snapshot->histogram_status = Status::OK();
-      }
-    }
-  }
-  if (config.fleet_wavelet) {
-    WaveletSynopsis::Options options;
-    options.measure_columns = measures;
-    options.execution = config.execution;
-    auto built = WaveletSynopsis::Build(table, grouping, options);
-    if (!built.ok()) {
-      snapshot->wavelet_status = built.status();
-    } else {
-      auto answer = built->Answer(reference);
-      if (!answer.ok()) {
-        snapshot->wavelet_status = answer.status();
-      } else {
-        snapshot->wavelet_residual = residual_of(*answer);
-        snapshot->wavelet =
-            std::make_shared<const WaveletSynopsis>(std::move(built).value());
-        snapshot->wavelet_status = Status::OK();
-      }
-    }
-  }
-}
-
 /// Records on a snapshot restored from a checkpoint that its base
-/// relation, and with it every fleet member built from it, is missing.
+/// relation, and with it both fallbacks built from it, is missing.
 void MarkBaseUnavailable(AquaSnapshot* snapshot) {
   snapshot->base_available = false;
   const Status unavailable = Status::FailedPrecondition(
       "fallback unavailable: snapshot restored without base relation");
   snapshot->fallback_basic_status = unavailable;
   snapshot->fallback_house_status = unavailable;
-  const Status fleet_unavailable = Status::FailedPrecondition(
-      "fleet synopsis unavailable: snapshot restored without base relation");
-  snapshot->histogram_status = fleet_unavailable;
-  snapshot->wavelet_status = fleet_unavailable;
 }
 
 }  // namespace
@@ -176,18 +81,17 @@ Status AquaEngine::PublishLocked(const std::string& name,
   // sample below takes its census and strata from it. The table only
   // ever grows by appends, so the last publish's index is extended by
   // the new rows rather than rebuilt.
-  if (!state->restored) {
-    auto index =
-        state->base_index != nullptr
-            ? GroupIndex::Extend(*state->base_index, *snapshot->table,
-                                 state->config.execution)
-            : GroupIndex::Build(*snapshot->table, state->grouping,
-                                state->config.execution);
-    // On failure the next publish starts over with a full build.
-    state->base_index =
-        index.ok() ? std::make_shared<const GroupIndex>(std::move(index).value())
-                   : nullptr;
-  }
+  auto built_index =
+      state->base_index != nullptr
+          ? GroupIndex::Extend(*state->base_index, *snapshot->table,
+                               state->config.execution)
+          : GroupIndex::Build(*snapshot->table, state->grouping,
+                              state->config.execution);
+  // On failure the next publish starts over with a full build.
+  state->base_index =
+      built_index.ok()
+          ? std::make_shared<const GroupIndex>(std::move(built_index).value())
+          : nullptr;
   const GroupIndex* index = state->base_index.get();
 
   // Non-incremental relations rebuild from the working table, which is
@@ -205,22 +109,14 @@ Status AquaEngine::PublishLocked(const std::string& name,
 
   // Degradation-ladder fallbacks are part of the snapshot, so the
   // resilient read path never builds (or caches) anything. The same goes
-  // for the planner's inputs: the base index and the optional
-  // histogram/wavelet fleet.
-  if (state->restored) {
-    MarkBaseUnavailable(snapshot.get());
-  } else {
-    snapshot->base_group_index = state->base_index;
-    BuildFleet(snapshot.get(), state->config);
-    const SynopsisConfig& primary = snapshot->synopsis->config();
-    BuildFallback(*snapshot->table, index, primary,
-                  AllocationStrategy::kBasicCongress,
-                  &snapshot->fallback_basic,
-                  &snapshot->fallback_basic_status);
-    BuildFallback(*snapshot->table, index, primary,
-                  AllocationStrategy::kHouse, &snapshot->fallback_house,
-                  &snapshot->fallback_house_status);
-  }
+  // for the planner's input, the base index.
+  snapshot->base_group_index = state->base_index;
+  const SynopsisConfig& primary = snapshot->synopsis->config();
+  BuildFallback(*snapshot->table, index, primary,
+                AllocationStrategy::kBasicCongress, &snapshot->fallback_basic,
+                &snapshot->fallback_basic_status);
+  BuildFallback(*snapshot->table, index, primary, AllocationStrategy::kHouse,
+                &snapshot->fallback_house, &snapshot->fallback_house_status);
 
   return catalog_.Publish(std::move(snapshot));
 }
@@ -343,14 +239,6 @@ Result<ApproximateResult> AquaEngine::Query(const std::string& sql) const {
     return std::move(planned->result);
   }
   return routed->first->synopsis->Answer(routed->second);
-}
-
-Result<planner::PlannedAnswer> AquaEngine::QueryPlanned(
-    const std::string& sql) const {
-  auto routed = Route(sql);
-  if (!routed.ok()) return routed.status();
-  planner::Planner planner;
-  return planner.Run(*routed->first, routed->second);
 }
 
 Result<std::string> AquaEngine::ExplainPlan(const std::string& sql) const {

@@ -68,20 +68,16 @@ class AquaEngine {
   /// snapshot's synopsis with per-group error bounds. A query carrying a
   /// budget clause (`WITHIN <pct>% CONFIDENCE <pct>` or `WITHIN <ms> MS`)
   /// is routed through the accuracy-aware planner, which picks the
-  /// cheapest fleet member predicted to honor the budget and escalates
-  /// (combined outlier-exact plan, then exact) if the realized bounds
-  /// break the promise. Without a budget the primary synopsis answers
-  /// directly — bit-identical to earlier releases.
+  /// cheapest candidate plan (primary, fallback, combined or exact)
+  /// predicted to honor the budget and escalates (combined outlier-exact
+  /// plan, then exact) if the realized bounds break the promise. Without
+  /// a budget the primary synopsis answers directly — bit-identical to
+  /// earlier releases.
   Result<ApproximateResult> Query(const std::string& sql) const;
 
-  /// Like Query(), but returns the plan report alongside the answer:
-  /// every candidate scored, the chosen plan, predicted vs. promised vs.
-  /// realized error, and how often verification escalated.
-  Result<planner::PlannedAnswer> QueryPlanned(const std::string& sql) const;
-
-  /// Scores the snapshot's synopsis fleet against the query's budget and
-  /// renders the chosen plan without executing anything — the planner's
-  /// EXPLAIN PLAN.
+  /// Scores the snapshot's candidate plans against the query's budget
+  /// and renders the chosen plan without executing anything — the
+  /// planner's EXPLAIN PLAN.
   Result<std::string> ExplainPlan(const std::string& sql) const;
 
   /// Exact answer over the snapshot's retained base relation.
@@ -91,15 +87,18 @@ class AquaEngine {
   Result<QueryResult> QueryVia(const std::string& sql,
                                RewriteStrategy strategy) const;
 
-  /// Like Query(), but never gives up just because a synopsis cannot
-  /// answer: Route + Planner::Run, the one candidate walk (Run documents
-  /// the rung order, the bound widening, and the failpoint sites). A
-  /// budget clause is honored and verified as in Query(). The answer's
-  /// DegradationReason says which rung answered and why the ones before
-  /// it failed; `epoch` names the snapshot generation that served it.
-  /// Candidates after the first are attempted only while `deadline` has
-  /// not passed, else DeadlineExceeded names the rungs tried. Fails only
-  /// when every rung fails, or the SQL does not parse/bind.
+  /// Like Query(), but returns the plan report alongside the answer
+  /// (every candidate scored, the chosen plan, predicted vs. promised vs.
+  /// realized error, how often verification escalated), and never gives
+  /// up just because a synopsis cannot answer: Route + Planner::Run, the
+  /// one candidate walk (Run documents the rung order, the bound
+  /// widening, and the failpoint sites). A budget clause is honored and
+  /// verified as in Query(). The answer's DegradationReason says which
+  /// rung answered and why the ones before it failed; `epoch` names the
+  /// snapshot generation that served it. Candidates after the first are
+  /// attempted only while `deadline` has not passed, else
+  /// DeadlineExceeded names the rungs tried. Fails only when every rung
+  /// fails, or the SQL does not parse/bind.
   Result<ResilientAnswer> QueryResilient(
       const std::string& sql,
       std::optional<std::chrono::steady_clock::time_point> deadline =

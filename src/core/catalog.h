@@ -11,11 +11,9 @@
 #include <vector>
 
 #include "core/synopsis.h"
-#include "histogram/group_histogram.h"
 #include "storage/group_index.h"
 #include "storage/table.h"
 #include "util/status.h"
-#include "wavelet/wavelet_synopsis.h"
 
 namespace congress {
 
@@ -52,19 +50,6 @@ struct AquaSnapshot {
   std::shared_ptr<const AquaSynopsis> fallback_house;
   Status fallback_basic_status;
   Status fallback_house_status;
-
-  /// Planner fleet: optional non-sampling synopses built at publish time
-  /// when the SynopsisConfig's fleet_* flags are set. Null when disabled
-  /// or when the build failed (the Status records why). Each carries the
-  /// mean relative residual of its answer against the exact
-  /// finest-grouping answer, measured once at publish so the planner can
-  /// score it without touching the base table.
-  std::shared_ptr<const GroupHistogram> histogram;
-  std::shared_ptr<const WaveletSynopsis> wavelet;
-  Status histogram_status;
-  Status wavelet_status;
-  double histogram_residual = 0.0;
-  double wavelet_residual = 0.0;
 
   /// Row→stratum index over the base relation at the synopsis grouping,
   /// built once at publish. Combined plans answer their outlier strata

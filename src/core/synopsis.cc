@@ -238,77 +238,4 @@ Status AquaSynopsis::Refresh() {
   return Status::OK();
 }
 
-Status SynopsisManager::Register(const std::string& name, const Table& base,
-                                 const SynopsisConfig& config) {
-  if (synopses_.count(name) > 0) {
-    return Status::AlreadyExists("synopsis '" + name + "' already registered");
-  }
-  auto synopsis = AquaSynopsis::Build(base, config);
-  if (!synopsis.ok()) return synopsis.status();
-  synopses_.emplace(name, std::make_unique<AquaSynopsis>(
-                              std::move(synopsis).value()));
-  return Status::OK();
-}
-
-Status SynopsisManager::Drop(const std::string& name) {
-  if (synopses_.erase(name) == 0) {
-    return Status::NotFound("synopsis '" + name + "' not registered");
-  }
-  return Status::OK();
-}
-
-bool SynopsisManager::Has(const std::string& name) const {
-  return synopses_.count(name) > 0;
-}
-
-Result<const AquaSynopsis*> SynopsisManager::Get(
-    const std::string& name) const {
-  auto it = synopses_.find(name);
-  if (it == synopses_.end()) {
-    CONGRESS_METRIC_INCR("synopsis.lookup_misses", 1);
-    return Status::NotFound("synopsis '" + name + "' not registered");
-  }
-  CONGRESS_METRIC_INCR("synopsis.lookup_hits", 1);
-  return static_cast<const AquaSynopsis*>(it->second.get());
-}
-
-Result<ApproximateResult> SynopsisManager::Answer(
-    const std::string& name, const GroupByQuery& query) const {
-  auto synopsis = Get(name);
-  if (!synopsis.ok()) return synopsis.status();
-  return (*synopsis)->Answer(query);
-}
-
-Result<QueryResult> SynopsisManager::AnswerVia(const std::string& name,
-                                               const GroupByQuery& query,
-                                               RewriteStrategy strategy) const {
-  auto synopsis = Get(name);
-  if (!synopsis.ok()) return synopsis.status();
-  return (*synopsis)->AnswerVia(query, strategy);
-}
-
-Status SynopsisManager::Insert(const std::string& name,
-                               const std::vector<Value>& row) {
-  auto it = synopses_.find(name);
-  if (it == synopses_.end()) {
-    return Status::NotFound("synopsis '" + name + "' not registered");
-  }
-  return it->second->Insert(row);
-}
-
-Status SynopsisManager::Refresh(const std::string& name) {
-  auto it = synopses_.find(name);
-  if (it == synopses_.end()) {
-    return Status::NotFound("synopsis '" + name + "' not registered");
-  }
-  return it->second->Refresh();
-}
-
-std::vector<std::string> SynopsisManager::Names() const {
-  std::vector<std::string> names;
-  names.reserve(synopses_.size());
-  for (const auto& [name, synopsis] : synopses_) names.push_back(name);
-  return names;
-}
-
 }  // namespace congress

@@ -4,7 +4,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/estimator.h"
@@ -39,9 +38,6 @@ struct SynopsisConfig {
   /// Error-bound settings for approximate answers.
   EstimatorOptions estimator;
 
-  /// Default physical rewrite strategy for AnswerVia-less calls.
-  RewriteStrategy rewrite = RewriteStrategy::kNestedIntegrated;
-
   /// If true, build via the one-pass incremental maintainer (Section 6)
   /// so the synopsis keeps absorbing Insert()s; otherwise build with the
   /// two-pass exact-allocation path and reject inserts.
@@ -61,14 +57,6 @@ struct SynopsisConfig {
   bool free_running_ingest = false;
 
   uint64_t seed = 42;
-
-  /// Fleet synopses for the accuracy-aware planner: when set, each
-  /// snapshot publish also builds a group histogram / wavelet synopsis
-  /// over the base table at the synopsis grouping, with its residual
-  /// error measured against the exact finest-grouping answer so the
-  /// planner can score it. Off by default (publish-time cost).
-  bool fleet_histogram = false;
-  bool fleet_wavelet = false;
 
   /// Parallelism for build scans and query answering (num_threads = 1 is
   /// the serial engine; 0 uses all hardware threads). Samples, estimates,
@@ -206,36 +194,6 @@ class AquaSynopsis {
   uint64_t target_sample_size_ = 0;
   bool restored_ = false;
   uint64_t restored_tuples_seen_ = 0;
-};
-
-/// A registry of synopses by relation name — the middleware face of Aqua
-/// (Figure 1): register base tables once, answer queries against their
-/// synopses thereafter.
-class SynopsisManager {
- public:
-  /// Builds and registers a synopsis for `name`. Fails if already present.
-  Status Register(const std::string& name, const Table& base,
-                  const SynopsisConfig& config);
-
-  /// Removes a synopsis.
-  Status Drop(const std::string& name);
-
-  bool Has(const std::string& name) const;
-  Result<const AquaSynopsis*> Get(const std::string& name) const;
-
-  /// Forwards to the named synopsis.
-  Result<ApproximateResult> Answer(const std::string& name,
-                                   const GroupByQuery& query) const;
-  Result<QueryResult> AnswerVia(const std::string& name,
-                                const GroupByQuery& query,
-                                RewriteStrategy strategy) const;
-  Status Insert(const std::string& name, const std::vector<Value>& row);
-  Status Refresh(const std::string& name);
-
-  std::vector<std::string> Names() const;
-
- private:
-  std::unordered_map<std::string, std::unique_ptr<AquaSynopsis>> synopses_;
 };
 
 }  // namespace congress

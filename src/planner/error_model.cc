@@ -166,33 +166,6 @@ Result<ErrorPrediction> PredictSampleError(
   return prediction;
 }
 
-Status FleetEligibility(const GroupByQuery& query,
-                        const std::vector<size_t>& synopsis_grouping) {
-  if (query.HasPredicate()) {
-    return Status::FailedPrecondition(
-        "fleet summaries carry no per-tuple detail to evaluate a predicate");
-  }
-  for (const AggregateSpec& spec : query.aggregates) {
-    if (spec.kind == AggregateKind::kMin || spec.kind == AggregateKind::kMax) {
-      return Status::FailedPrecondition(
-          "fleet summaries answer SUM/COUNT/AVG only");
-    }
-    if (spec.expression != nullptr) {
-      return Status::FailedPrecondition(
-          "fleet summaries pre-aggregate plain columns, not expressions");
-    }
-  }
-  for (size_t col : query.group_columns) {
-    if (std::find(synopsis_grouping.begin(), synopsis_grouping.end(), col) ==
-        synopsis_grouping.end()) {
-      return Status::FailedPrecondition(
-          "query grouping refines the synopsis grouping; fleet summaries "
-          "answer roll-ups only");
-    }
-  }
-  return Status::OK();
-}
-
 Status JoinSampleEligibility(const StarSchema& schema,
                              const GroupByQuery& query) {
   if (schema.fact == nullptr) {

@@ -51,15 +51,6 @@ Result<ErrorPrediction> PredictSampleError(
     const AquaSynopsis& synopsis, const GroupByQuery& query, double confidence,
     const std::vector<uint32_t>& excluded_strata = {});
 
-/// Whether `query` can be answered by a histogram/wavelet fleet member
-/// built at `synopsis_grouping`: no tuple predicate (group-level summaries
-/// carry no per-tuple detail), no expression aggregates, SUM/COUNT/AVG
-/// only, and the query grouping must be a subset of the synopsis grouping
-/// (roll-ups of the finest groups are answerable; refinements are not).
-/// OK when eligible; the Status message names the first violated rule.
-Status FleetEligibility(const GroupByQuery& query,
-                        const std::vector<size_t>& synopsis_grouping);
-
 /// Join-sample eligibility per the Joins-on-Samples rules ([AGPR99],
 /// Section 2): a sample of the fact relation foreign-key-joined to *full*
 /// dimension relations is a valid sample of the join, so a query over the

@@ -20,6 +20,21 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Outlier strata a combined plan answers exactly: the top-k by base
+/// population. The exact part's cost grows with their population, so k
+/// stays small.
+constexpr size_t kMaxOutlierStrata = 4;
+
+/// Cost-model row rates for time budgets, in milliseconds per row scanned
+/// (sample scans and base-table scans). Deliberately coarse: time budgets
+/// need plan *ordering*, not microsecond forecasts.
+constexpr double kMsPerSampleRow = 2e-5;
+constexpr double kMsPerBaseRow = 2e-5;
+
+/// Floor for relative-error denominators (|estimate| below this reads as
+/// "relative error unbounded").
+constexpr double kEstimateFloor = 1e-9;
+
 /// Internal aggregate expansion for combined plans: every output
 /// aggregate maps to slots in an internal SUM/COUNT-only list so the
 /// exact part and the sampled tail add per slot, and AVG recombines as a
@@ -99,27 +114,6 @@ double WorstRelativeBound(const ApproximateResult& result, double floor) {
     }
   }
   return worst;
-}
-
-/// Converts a summary (histogram/wavelet) point answer into the
-/// approximate interface with heuristic residual-scaled bounds. These are
-/// model residuals, not probabilistic intervals — which is exactly why
-/// the scorer never offers summaries against an error promise.
-ApproximateResult SummaryAsApproximate(const QueryResult& answer,
-                                       double residual) {
-  ApproximateResult out;
-  for (const GroupResult& row : answer.rows()) {
-    ApproximateGroupRow approx;
-    approx.key = row.key;
-    approx.estimates = row.aggregates;
-    approx.std_errors.assign(row.aggregates.size(), 0.0);
-    approx.bounds.resize(row.aggregates.size());
-    for (size_t a = 0; a < row.aggregates.size(); ++a) {
-      approx.bounds[a] = residual * std::fabs(row.aggregates[a]);
-    }
-    out.Add(std::move(approx));
-  }
-  return out;
 }
 
 const CandidateScore* FindCandidate(const std::vector<CandidateScore>& cs,
@@ -257,10 +251,6 @@ const char* PlanKindToString(PlanKind kind) {
       return "fallback-basic-congress";
     case PlanKind::kFallbackHouse:
       return "fallback-house";
-    case PlanKind::kHistogram:
-      return "histogram";
-    case PlanKind::kWavelet:
-      return "wavelet";
     case PlanKind::kCombined:
       return "combined-outlier-exact";
     case PlanKind::kExact:
@@ -491,8 +481,6 @@ Result<ApproximateResult> ExecuteCombinedPlan(
   return result;
 }
 
-Planner::Planner(PlannerOptions options) : options_(options) {}
-
 Result<PlanReport> Planner::Plan(const AquaSnapshot& snapshot,
                                  const GroupByQuery& query) const {
   if (snapshot.synopsis == nullptr) {
@@ -535,7 +523,7 @@ Result<PlanReport> Planner::Plan(const AquaSnapshot& snapshot,
     c.predicted_relative_error = prediction->max_relative_bound;
     c.mean_variance = prediction->mean_variance;
     c.predicted_cost_ms = static_cast<double>(synopsis->sample().num_rows()) *
-                          options_.ms_per_sample_row;
+                          kMsPerSampleRow;
     c.detail = prediction->exact_model ? "moment model"
                                        : "moment model (approximate)";
     report.candidates.push_back(std::move(c));
@@ -545,47 +533,6 @@ Result<PlanReport> Planner::Plan(const AquaSnapshot& snapshot,
                snapshot.fallback_basic_status);
   score_sample(PlanKind::kFallbackHouse, snapshot.fallback_house.get(),
                snapshot.fallback_house_status);
-
-  auto score_summary = [&](PlanKind kind, bool present, const Status& status,
-                           double residual, size_t cells) {
-    CandidateScore c;
-    c.kind = kind;
-    if (!present) {
-      c.detail = status.ok() ? "not built (SynopsisConfig::fleet_* off)"
-                             : status.ToString();
-      report.candidates.push_back(std::move(c));
-      return;
-    }
-    Status eligible =
-        FleetEligibility(query, primary.grouping_column_indices());
-    if (!eligible.ok()) {
-      c.detail = eligible.ToString();
-      report.candidates.push_back(std::move(c));
-      return;
-    }
-    if (budget.has_error_budget()) {
-      c.detail =
-          "residual model carries no probabilistic guarantee for an error "
-          "promise";
-      report.candidates.push_back(std::move(c));
-      return;
-    }
-    c.eligible = true;
-    c.predicted_relative_error = residual;
-    c.predicted_cost_ms =
-        static_cast<double>(cells) * options_.ms_per_summary_cell;
-    c.detail = "publish-time residual vs exact";
-    report.candidates.push_back(std::move(c));
-  };
-  score_summary(PlanKind::kHistogram, snapshot.histogram != nullptr,
-                snapshot.histogram_status, snapshot.histogram_residual,
-                snapshot.histogram != nullptr
-                    ? snapshot.histogram->StorageCells()
-                    : 0);
-  score_summary(PlanKind::kWavelet, snapshot.wavelet != nullptr,
-                snapshot.wavelet_status, snapshot.wavelet_residual,
-                snapshot.wavelet != nullptr ? snapshot.wavelet->StorageCells()
-                                            : 0);
 
   // Combined: the top-k outlier strata by base population go exact, the
   // tail stays sampled.
@@ -599,7 +546,7 @@ Result<PlanReport> Planner::Plan(const AquaSnapshot& snapshot,
       c.detail = "fewer than two strata; nothing to split";
     } else {
       std::vector<uint32_t> outliers = TopStrataByPopulation(
-          strata, std::min(options_.max_outlier_strata, strata.size() - 1));
+          strata, std::min(kMaxOutlierStrata, strata.size() - 1));
       auto prediction =
           PredictSampleError(primary, query, confidence, outliers);
       if (!prediction.ok()) {
@@ -611,8 +558,8 @@ Result<PlanReport> Planner::Plan(const AquaSnapshot& snapshot,
         c.predicted_relative_error = prediction->max_relative_bound;
         c.predicted_cost_ms =
             static_cast<double>(primary.sample().num_rows()) *
-                options_.ms_per_sample_row +
-            static_cast<double>(outlier_population) * options_.ms_per_base_row;
+                kMsPerSampleRow +
+            static_cast<double>(outlier_population) * kMsPerBaseRow;
         c.detail = "top-" + std::to_string(outliers.size()) +
                    " strata exact, sampled tail";
         c.outlier_strata = std::move(outliers);
@@ -636,7 +583,7 @@ Result<PlanReport> Planner::Plan(const AquaSnapshot& snapshot,
       c.predicted_relative_error = 0.0;
       c.predicted_cost_ms =
           static_cast<double>(snapshot.table->num_rows()) *
-          options_.ms_per_base_row;
+          kMsPerBaseRow;
       c.detail = min_max ? "only plan supporting MIN/MAX" : "";
     }
     report.candidates.push_back(std::move(c));
@@ -681,22 +628,6 @@ Result<ApproximateResult> Planner::Execute(const AquaSnapshot& snapshot,
         return NotBuilt(snapshot.fallback_house_status, "fallback-house");
       }
       return sample_answer(*snapshot.fallback_house);
-    case PlanKind::kHistogram: {
-      if (snapshot.histogram == nullptr) {
-        return Status::FailedPrecondition("fleet histogram not built");
-      }
-      auto answer = snapshot.histogram->Answer(query);
-      if (!answer.ok()) return answer.status();
-      return SummaryAsApproximate(*answer, snapshot.histogram_residual);
-    }
-    case PlanKind::kWavelet: {
-      if (snapshot.wavelet == nullptr) {
-        return Status::FailedPrecondition("fleet wavelet not built");
-      }
-      auto answer = snapshot.wavelet->Answer(query);
-      if (!answer.ok()) return answer.status();
-      return SummaryAsApproximate(*answer, snapshot.wavelet_residual);
-    }
     case PlanKind::kCombined:
       return ExecuteCombinedPlan(snapshot, query, choice.outlier_strata,
                                  confidence);
@@ -727,8 +658,8 @@ Result<PlannedAnswer> Planner::Run(
   PlannedAnswer answer;
   answer.epoch = snapshot.epoch;
   PlanReport& report = answer.report;
-  // Without a budget the primary synopsis is the plan, and the fleet is
-  // scored only if it fails.
+  // Without a budget the primary synopsis is the plan, and the other
+  // candidates are scored only if it fails.
   report.budget = budget;
   if (budget.active()) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -748,7 +679,7 @@ Result<PlannedAnswer> Planner::Run(
     report.predicted_relative_error = c.predicted_relative_error;
   };
 
-  // One walk over the fleet. A candidate that fails drops out and the
+  // One walk over the candidates. A candidate that fails drops out and the
   // next one answers; an answer that breaks an error promise escalates
   // toward kCombined / kExact. Every step either retires a candidate or
   // moves strictly up the escalation ladder, so the walk is finite.
@@ -823,7 +754,7 @@ Result<PlannedAnswer> Planner::Run(
     }
     if (!budget.has_error_budget()) break;
     const double realized =
-        WorstRelativeBound(answer.result, options_.estimate_floor);
+        WorstRelativeBound(answer.result, kEstimateFloor);
     report.realized_relative_error = realized;
     if (realized <= budget.relative_error) break;
 

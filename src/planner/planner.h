@@ -17,43 +17,24 @@
 
 namespace congress::planner {
 
-/// Every execution strategy the planner can choose over one snapshot's
-/// synopsis fleet, ordered weakest-guarantee-first; escalation on a broken
-/// promise only ever moves toward kCombined / kExact.
+/// Every execution strategy the planner can choose over one snapshot,
+/// ordered weakest-guarantee-first; escalation on a broken promise only
+/// ever moves toward kCombined / kExact. The values are contiguous:
+/// per-kind tallies index arrays of kNumPlanKinds by them.
 enum class PlanKind {
   kPrimarySynopsis = 0,  ///< The snapshot's configured synopsis.
   kFallbackBasic = 1,    ///< Degradation-ladder BasicCongress synopsis.
   kFallbackHouse = 2,    ///< Degradation-ladder House synopsis.
-  kHistogram = 3,        ///< Fleet group histogram (residual model).
-  kWavelet = 4,          ///< Fleet wavelet synopsis (residual model).
-  kCombined = 5,         ///< Exact outlier strata + sampled tail, stitched.
-  kExact = 6,            ///< Exact scan of the retained base relation.
+  kCombined = 3,         ///< Exact outlier strata + sampled tail, stitched.
+  kExact = 4,            ///< Exact scan of the retained base relation.
 };
 
-inline constexpr size_t kNumPlanKinds = 7;
+inline constexpr size_t kNumPlanKinds = 5;
+static_assert(kNumPlanKinds == static_cast<size_t>(PlanKind::kExact) + 1);
 
 const char* PlanKindToString(PlanKind kind);
 
-struct PlannerOptions {
-  /// Outlier strata a combined plan answers exactly: the top-k by base
-  /// population. The exact part's cost grows with their population, so k
-  /// stays small.
-  size_t max_outlier_strata = 4;
-
-  /// Cost-model row rates for time budgets, in milliseconds per row
-  /// scanned (sample scans and base-table scans) and per summary cell.
-  /// Deliberately coarse: time budgets need plan *ordering*, not
-  /// microsecond forecasts.
-  double ms_per_sample_row = 2e-5;
-  double ms_per_base_row = 2e-5;
-  double ms_per_summary_cell = 1e-6;
-
-  /// Floor for relative-error denominators (|estimate| below this reads
-  /// as "relative error unbounded").
-  double estimate_floor = 1e-9;
-};
-
-/// One scored candidate from the snapshot's fleet.
+/// One scored candidate plan over the snapshot.
 struct CandidateScore {
   PlanKind kind = PlanKind::kPrimarySynopsis;
   bool eligible = false;
@@ -123,20 +104,19 @@ Result<ApproximateResult> ExecuteCombinedPlan(
     const AquaSnapshot& snapshot, const GroupByQuery& query,
     const std::vector<uint32_t>& outlier_strata, double confidence = 0.0);
 
-/// The accuracy-aware planner: scores every applicable member of one
-/// snapshot's synopsis fleet against the query's budget using the
-/// closed-form error model (error_model.h), executes the cheapest plan
-/// predicted to meet the promise, then verifies the realized bounds and
-/// escalates toward kCombined / kExact if the promise is broken — the
-/// exact endpoint satisfies any budget, so an error promise is always
-/// eventually honored when the base relation is available. The same walk
-/// is the degradation ladder: a candidate that fails drops out and the
-/// next one answers.
+/// The accuracy-aware planner: scores every candidate plan over one
+/// snapshot (its sample synopses, a combined plan, exact) against the
+/// query's budget using the closed-form error model (error_model.h),
+/// executes the cheapest plan predicted to meet the promise, then
+/// verifies the realized bounds and escalates toward kCombined / kExact
+/// if the promise is broken — the exact endpoint satisfies any budget,
+/// so an error promise is always eventually honored when the base
+/// relation is available. The same walk is the degradation ladder: a
+/// candidate that fails drops out and the next one answers.
 class Planner {
  public:
-  explicit Planner(PlannerOptions options = PlannerOptions{});
-
-  /// Scores the fleet and chooses a plan without executing anything.
+  /// Scores the candidates and chooses a plan without executing
+  /// anything.
   Result<PlanReport> Plan(const AquaSnapshot& snapshot,
                           const GroupByQuery& query) const;
 
@@ -152,7 +132,7 @@ class Planner {
   ///  - a broken promise: an error budget whose realized bounds miss
   ///    escalates kCombined -> kExact.
   /// With no active budget and a healthy primary this is exactly one
-  /// AquaSynopsis::Answer — no fleet scoring, bit-identical results.
+  /// AquaSynopsis::Answer — no candidate scoring, bit-identical results.
   /// Every candidate after the first is attempted only while `deadline`
   /// has not passed; past it the walk returns DeadlineExceeded naming
   /// the rungs it tried. Fails with Internal when every rung fails.
@@ -168,8 +148,6 @@ class Planner {
   Result<ApproximateResult> Execute(const AquaSnapshot& snapshot,
                                     const GroupByQuery& query,
                                     const PlanChoice& choice) const;
-
-  PlannerOptions options_;
 };
 
 }  // namespace congress::planner

@@ -238,8 +238,8 @@ Result<BudgetCoverageReport> RunBudgetCoverage(
           std::min<size_t>(9, rank * 10 / std::max<size_t>(1, sized.size()));
     }
 
-    // One engine per run: the planner needs the published snapshot's
-    // fleet (primary + fallbacks + base group index), not a bare sample.
+    // One engine per run: the planner needs the published snapshot
+    // (primary + fallbacks + base group index), not a bare sample.
     SynopsisConfig synopsis;
     synopsis.strategy = config.strategy;
     synopsis.sample_fraction = config.sample_fraction;

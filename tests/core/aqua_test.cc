@@ -1,10 +1,15 @@
 #include "core/aqua.h"
 
 #include <atomic>
+#include <cstdio>
+#include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "resilience/failpoint.h"
 
 namespace congress {
 namespace {
@@ -377,6 +382,79 @@ TEST_F(AquaEngineTest, MultipleTables) {
   EXPECT_TRUE(engine_.Query("SELECT SUM(v) FROM other").ok());
   EXPECT_TRUE(engine_.Query("SELECT SUM(amount) FROM sales").ok());
   EXPECT_FALSE(engine_.Query("SELECT SUM(v) FROM sales").ok());
+}
+
+/// Bitwise equality: NaN payloads and -0.0 count.
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST_F(AquaEngineTest, RestoredTableServesOnlyTheCheckpointedSynopsis) {
+  SynopsisConfig config = SalesConfig();
+  config.incremental = true;
+  AquaEngine source;
+  ASSERT_TRUE(source.RegisterTable("live", SalesTable(), config).ok());
+  ASSERT_TRUE(
+      source.Insert("live", {Value("north"), Value(int64_t{2}), Value(5.0)})
+          .ok());
+  ASSERT_TRUE(source.Refresh("live").ok());
+  auto checkpointed = source.GetSnapshot("live");
+  ASSERT_TRUE(checkpointed.ok());
+  const std::string path = ::testing::TempDir() + "/aqua_test_restore.snap";
+  ASSERT_TRUE(source.Checkpoint("live", path).ok());
+
+  AquaEngine restored;
+  ASSERT_TRUE(restored.RestoreTable("live", path, config).ok());
+  std::remove(path.c_str());
+
+  const std::string sql =
+      "SELECT region, SUM(amount), AVG(amount) FROM live GROUP BY region";
+  GroupByQuery query;
+  query.group_columns = {0};
+  query.aggregates.emplace_back(AggregateKind::kSum, 2);
+  query.aggregates.emplace_back(AggregateKind::kAvg, 2);
+  auto answer = restored.Query(sql);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  auto want = (*checkpointed)->synopsis->Answer(query);
+  ASSERT_TRUE(want.ok());
+  ASSERT_EQ(answer->num_groups(), want->num_groups());
+  for (const ApproximateGroupRow& row : want->rows()) {
+    const ApproximateGroupRow* got = answer->Find(row.key);
+    ASSERT_NE(got, nullptr);
+    EXPECT_TRUE(SameBits(got->estimates, row.estimates));
+    EXPECT_TRUE(SameBits(got->std_errors, row.std_errors));
+    EXPECT_TRUE(SameBits(got->bounds, row.bounds));
+    EXPECT_EQ(got->support, row.support);
+  }
+
+  // The base relation is not in the image.
+  EXPECT_EQ(restored.QueryExact(sql).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(
+      restored.Insert("live", {Value("east"), Value(int64_t{0}), Value(1.0)})
+          .code(),
+      StatusCode::kFailedPrecondition);
+
+  // A restored relation has no ingest front-end, so Refresh has nothing
+  // to publish.
+  const uint64_t epoch = restored.epoch();
+  EXPECT_TRUE(restored.Refresh("live").ok());
+  EXPECT_EQ(restored.epoch(), epoch);
+
+#ifndef CONGRESS_DISABLE_FAILPOINTS
+  resilience::ScopedFailpoint primary("aqua/primary_answer");
+  auto resilient = restored.QueryResilient(sql);
+  ASSERT_FALSE(resilient.ok());
+  const std::string& cause = resilient.status().message();
+  for (const char* rung :
+       {"basic_congress: FailedPrecondition: fallback unavailable",
+        "house: FailedPrecondition: fallback unavailable",
+        "exact: FailedPrecondition: base relation unavailable"}) {
+    EXPECT_NE(cause.find(rung), std::string::npos) << cause;
+  }
+#endif
 }
 
 }  // namespace

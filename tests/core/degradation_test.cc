@@ -127,13 +127,13 @@ TEST_F(DegradationTest, ResilientQueryHonorsItsErrorBudget) {
 #ifndef CONGRESS_DISABLE_FAILPOINTS
 TEST_F(DegradationTest, BudgetedQueryAnswersFromNextCandidateOnFailure) {
   const std::string sql = std::string(kSql) + " WITHIN 50% CONFIDENCE 90";
-  auto healthy = engine_.QueryPlanned(sql);
+  auto healthy = engine_.QueryResilient(sql);
   ASSERT_TRUE(healthy.ok()) << healthy.status().ToString();
   // A loose budget is met by the cheapest sample candidate, the primary.
   ASSERT_EQ(healthy->report.chosen.kind, planner::PlanKind::kPrimarySynopsis);
 
   ScopedFailpoint primary("aqua/primary_answer");
-  auto planned = engine_.QueryPlanned(sql);
+  auto planned = engine_.QueryResilient(sql);
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
   EXPECT_NE(planned->report.chosen.kind, planner::PlanKind::kPrimarySynopsis);
   EXPECT_TRUE(planned->degradation.degraded());

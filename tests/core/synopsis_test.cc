@@ -296,52 +296,5 @@ TEST(AquaSynopsisTest, RestoreServesQueriesButRejectsInserts) {
   EXPECT_FALSE(st.ok());
 }
 
-TEST(SynopsisManagerTest, RegisterAnswerDrop) {
-  Table base = MakeBase();
-  SynopsisManager manager;
-  ASSERT_TRUE(manager.Register("sales", base, BaseConfig()).ok());
-  EXPECT_TRUE(manager.Has("sales"));
-  EXPECT_FALSE(manager.Register("sales", base, BaseConfig()).ok());
-
-  auto answer = manager.Answer("sales", SumQuery());
-  ASSERT_TRUE(answer.ok());
-  EXPECT_EQ(answer->num_groups(), 2u);
-
-  auto via =
-      manager.AnswerVia("sales", SumQuery(), RewriteStrategy::kIntegrated);
-  EXPECT_TRUE(via.ok());
-
-  EXPECT_EQ(manager.Names().size(), 1u);
-  EXPECT_TRUE(manager.Drop("sales").ok());
-  EXPECT_FALSE(manager.Has("sales"));
-  EXPECT_FALSE(manager.Drop("sales").ok());
-}
-
-TEST(SynopsisManagerTest, UnknownNameErrors) {
-  SynopsisManager manager;
-  EXPECT_FALSE(manager.Answer("nope", SumQuery()).ok());
-  EXPECT_FALSE(
-      manager.AnswerVia("nope", SumQuery(), RewriteStrategy::kIntegrated)
-          .ok());
-  EXPECT_FALSE(manager.Insert("nope", {}).ok());
-  EXPECT_FALSE(manager.Refresh("nope").ok());
-  EXPECT_FALSE(manager.Get("nope").ok());
-}
-
-TEST(SynopsisManagerTest, InsertThroughManager) {
-  Table base = MakeBase();
-  SynopsisManager manager;
-  SynopsisConfig config = BaseConfig();
-  config.incremental = true;
-  ASSERT_TRUE(manager.Register("sales", base, config).ok());
-  ASSERT_TRUE(
-      manager.Insert("sales", {Value("east"), Value(int64_t{0}), Value(5.0)})
-          .ok());
-  ASSERT_TRUE(manager.Refresh("sales").ok());
-  auto synopsis = manager.Get("sales");
-  ASSERT_TRUE(synopsis.ok());
-  EXPECT_EQ((*synopsis)->sample().total_population(), 1001u);
-}
-
 }  // namespace
 }  // namespace congress

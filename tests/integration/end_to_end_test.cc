@@ -1,3 +1,6 @@
+#include <map>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/metrics.h"
@@ -30,7 +33,7 @@ class EndToEndTest : public ::testing::Test {
     ASSERT_TRUE(data.ok());
     table_ = new Table(std::move(data->table));
 
-    manager_ = new SynopsisManager();
+    synopses_ = new std::map<std::string, AquaSynopsis>();
     for (auto [name, strategy] :
          std::initializer_list<std::pair<const char*, AllocationStrategy>>{
              {"house", AllocationStrategy::kHouse},
@@ -42,38 +45,39 @@ class EndToEndTest : public ::testing::Test {
       config2.sample_fraction = 0.07;
       config2.grouping_columns = tpcd::LineitemGroupingColumnNames();
       config2.seed = 33;
-      ASSERT_TRUE(manager_->Register(name, *table_, config2).ok());
+      auto built = AquaSynopsis::Build(*table_, config2);
+      ASSERT_TRUE(built.ok());
+      synopses_->emplace(name, std::move(built).value());
     }
   }
 
   static void TearDownTestSuite() {
-    delete manager_;
+    delete synopses_;
     delete table_;
-    manager_ = nullptr;
+    synopses_ = nullptr;
     table_ = nullptr;
   }
 
   static double L1Error(const char* synopsis, const GroupByQuery& query) {
     auto exact = ExecuteExact(*table_, query);
     EXPECT_TRUE(exact.ok());
-    auto approx = manager_->Answer(synopsis, query);
+    auto approx = synopses_->at(synopsis).Answer(query);
     EXPECT_TRUE(approx.ok());
     return CompareAnswers(*exact, *approx, 0).l1;
   }
 
   static Table* table_;
-  static SynopsisManager* manager_;
+  static std::map<std::string, AquaSynopsis>* synopses_;
 };
 
 Table* EndToEndTest::table_ = nullptr;
-SynopsisManager* EndToEndTest::manager_ = nullptr;
+std::map<std::string, AquaSynopsis>* EndToEndTest::synopses_ = nullptr;
 
 TEST_F(EndToEndTest, SamplesUseConfiguredSpace) {
   for (const char* name : {"house", "senate", "basic", "congress"}) {
-    auto synopsis = manager_->Get(name);
-    ASSERT_TRUE(synopsis.ok());
-    EXPECT_EQ((*synopsis)->sample().num_rows(), 7000u) << name;
-    EXPECT_EQ((*synopsis)->sample().total_population(), 100000u);
+    const AquaSynopsis& synopsis = synopses_->at(name);
+    EXPECT_EQ(synopsis.sample().num_rows(), 7000u) << name;
+    EXPECT_EQ(synopsis.sample().total_population(), 100000u);
   }
 }
 
@@ -84,7 +88,7 @@ TEST_F(EndToEndTest, SenateAndCongressCoverAllGroupsOnQg3) {
   auto exact = ExecuteExact(*table_, MakeQg3());
   ASSERT_TRUE(exact.ok());
   for (const char* name : {"senate", "congress"}) {
-    auto approx = manager_->Answer(name, MakeQg3());
+    auto approx = synopses_->at(name).Answer(MakeQg3());
     ASSERT_TRUE(approx.ok());
     auto report = CompareAnswers(*exact, *approx, 0);
     EXPECT_EQ(report.missing_groups, 0u) << name;
@@ -107,7 +111,7 @@ TEST_F(EndToEndTest, Figure14ShapeHouseBeatsSenateOnQg0) {
     for (const auto& q : queries) {
       auto exact = ExecuteExact(*table_, q);
       EXPECT_TRUE(exact.ok());
-      auto approx = manager_->Answer(name, q);
+      auto approx = synopses_->at(name).Answer(q);
       EXPECT_TRUE(approx.ok());
       total += CompareAnswers(*exact, *approx, 0).l1;
     }
@@ -134,13 +138,13 @@ TEST_F(EndToEndTest, CongressCompetitiveOnQg2) {
 
 TEST_F(EndToEndTest, RewriteStrategiesAgreeOnRealWorkload) {
   GroupByQuery q = MakeQg2();
-  auto reference =
-      manager_->AnswerVia("congress", q, RewriteStrategy::kIntegrated);
+  const AquaSynopsis& congress = synopses_->at("congress");
+  auto reference = congress.AnswerVia(q, RewriteStrategy::kIntegrated);
   ASSERT_TRUE(reference.ok());
   for (auto strategy :
        {RewriteStrategy::kNestedIntegrated, RewriteStrategy::kNormalized,
         RewriteStrategy::kKeyNormalized}) {
-    auto result = manager_->AnswerVia("congress", q, strategy);
+    auto result = congress.AnswerVia(q, strategy);
     ASSERT_TRUE(result.ok());
     ASSERT_EQ(result->num_groups(), reference->num_groups());
     for (const GroupResult& row : reference->rows()) {
@@ -155,7 +159,7 @@ TEST_F(EndToEndTest, RewriteStrategiesAgreeOnRealWorkload) {
 TEST_F(EndToEndTest, ErrorBoundsMostlyCoverTruthOnQg2) {
   auto exact = ExecuteExact(*table_, MakeQg2());
   ASSERT_TRUE(exact.ok());
-  auto approx = manager_->Answer("congress", MakeQg2());
+  auto approx = synopses_->at("congress").Answer(MakeQg2());
   ASSERT_TRUE(approx.ok());
   int covered = 0;
   int total = 0;

@@ -1,6 +1,7 @@
 #include "planner/planner.h"
 
 #include <cmath>
+#include <set>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -14,11 +15,9 @@ namespace congress {
 namespace {
 
 using planner::ExecuteCombinedPlan;
-using planner::FleetEligibility;
 using planner::JoinSampleEligibility;
 using planner::PlanKind;
 using planner::Planner;
-using planner::PlannerOptions;
 using planner::PredictSampleError;
 
 /// Skewed two-level grouping: one dominant group and a long tail, the
@@ -148,25 +147,22 @@ TEST_F(PlannerTest, PredictionRejectsMinMaxAndBadConfidence) {
   EXPECT_FALSE(PredictSampleError(*snapshot_->synopsis, SumQuery(), 1.0).ok());
 }
 
-TEST_F(PlannerTest, FleetEligibilityRules) {
-  const std::vector<size_t> grouping = {0, 1};
-  EXPECT_TRUE(FleetEligibility(SumQuery(), grouping).ok());
-
-  GroupByQuery refined = SumQuery();
-  refined.group_columns = {2};  // Not in the synopsis grouping.
-  EXPECT_FALSE(FleetEligibility(refined, grouping).ok());
-
-  GroupByQuery min_query = SumQuery();
-  min_query.aggregates[0].kind = AggregateKind::kMin;
-  EXPECT_FALSE(FleetEligibility(min_query, grouping).ok());
-}
-
 TEST_F(PlannerTest, NoBudgetPlanIsThePrimarySynopsis) {
   Planner planner;
   auto report = planner.Plan(*snapshot_, SumQuery());
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->chosen.kind, PlanKind::kPrimarySynopsis);
   EXPECT_EQ(report->candidates.size(), planner::kNumPlanKinds);
+}
+
+TEST(PlanKindTest, EveryKindHasADistinctName) {
+  std::set<std::string> names;
+  for (size_t k = 0; k < planner::kNumPlanKinds; ++k) {
+    const std::string name =
+        planner::PlanKindToString(static_cast<PlanKind>(k));
+    EXPECT_NE(name, "unknown") << "kind " << k;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
+  }
 }
 
 TEST_F(PlannerTest, NoBudgetRunIsBitIdenticalToSynopsisAnswer) {
@@ -333,52 +329,13 @@ TEST_F(PlannerTest, ExplainPlanNamesCandidatesAndChoice) {
   EXPECT_NE(report->find("budget: "), std::string::npos);
 }
 
-TEST_F(PlannerTest, QueryPlannedReportsRealizedError) {
-  auto planned = engine_.QueryPlanned(
+TEST_F(PlannerTest, QueryResilientReportsRealizedError) {
+  auto planned = engine_.QueryResilient(
       "SELECT region, SUM(amount) FROM sales GROUP BY region "
       "WITHIN 20% CONFIDENCE 90");
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
   EXPECT_GE(planned->report.realized_relative_error, 0.0);
   EXPECT_LE(planned->report.realized_relative_error, 0.20);
-}
-
-TEST_F(PlannerTest, FleetMembersJoinThePlanUnderTimeBudgets) {
-  AquaEngine fleet;
-  SynopsisConfig config = SalesConfig();
-  config.fleet_histogram = true;
-  config.fleet_wavelet = true;
-  ASSERT_TRUE(fleet.RegisterTable("sales", SalesTable(), config).ok());
-  auto snapshot = fleet.GetSnapshot("sales");
-  ASSERT_TRUE(snapshot.ok());
-  ASSERT_NE((*snapshot)->histogram, nullptr)
-      << (*snapshot)->histogram_status.ToString();
-  ASSERT_NE((*snapshot)->wavelet, nullptr)
-      << (*snapshot)->wavelet_status.ToString();
-  EXPECT_GE((*snapshot)->histogram_residual, 0.0);
-
-  Planner planner;
-  GroupByQuery timed = SumQuery();
-  timed.budget.time_budget_ms = 100.0;
-  auto report = planner.Plan(**snapshot, timed);
-  ASSERT_TRUE(report.ok());
-  bool histogram_eligible = false;
-  for (const planner::CandidateScore& c : report->candidates) {
-    if (c.kind == PlanKind::kHistogram) histogram_eligible = c.eligible;
-  }
-  EXPECT_TRUE(histogram_eligible);
-
-  // Summaries carry no probabilistic guarantee: never offered against an
-  // error promise.
-  GroupByQuery promised = SumQuery();
-  promised.budget.relative_error = 0.5;
-  promised.budget.confidence = 0.9;
-  auto strict = planner.Plan(**snapshot, promised);
-  ASSERT_TRUE(strict.ok());
-  for (const planner::CandidateScore& c : strict->candidates) {
-    if (c.kind == PlanKind::kHistogram || c.kind == PlanKind::kWavelet) {
-      EXPECT_FALSE(c.eligible);
-    }
-  }
 }
 
 TEST_F(PlannerTest, JoinSampleEligibilityRequiresFactMeasures) {
